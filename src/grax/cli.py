@@ -113,12 +113,8 @@ def cmd_adjoint(args):
     ident = GroupAlgebraMatrix.identity(G, M.rows)
     scaled = GroupAlgebraMatrix.from_entries(
         G, [[e * n.to_group_algebra() for e in row] for row in ident.entries])
-    for P in (M * star, star * M):
-        for r1, r2 in zip(P.entries, scaled.entries):
-            for a, b in zip(r1, r2):
-                if not (a - b).is_zero():
-                    raise MathFailure("adjoint identity violated",
-                                      {"matrix": serde.gam_to_json(M)})
+    if M * star != scaled or star * M != scaled:
+        raise MathFailure("adjoint identity violated", {"matrix": serde.gam_to_json(M)})
     return {"adjoint": serde.gam_to_json(star), "nrd": serde.central_to_json(n)}
 
 

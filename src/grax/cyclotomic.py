@@ -69,26 +69,26 @@ def _poly_divide_exact(num, den):
     return out
 
 
-_REDUCTION_ROWS: dict[int, list[tuple[Fraction, ...]]] = {}
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows r_k = coordinates of zeta_n^(phi(n)+k) in the power basis, for
+    every exponent the package reduces: below max(n, 2*phi(n) - 1).
 
-
-def _reduction_rows(n: int, kmax: int) -> list[tuple[Fraction, ...]]:
-    """Rows r_k = coordinates of zeta_n^(phi(n)+k) in the power basis, k <= kmax."""
+    Built whole on first use and never mutated, so concurrent readers
+    share it safely.
+    """
     d = euler_phi(n)
-    rows = _REDUCTION_ROWS.setdefault(n, [])
-    if not rows:
-        phi = cyclotomic_polynomial(n)
-        # zeta^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1))
-        rows.append(tuple(Fraction(-c) for c in phi[:d]))
-    base = rows[0]
-    while len(rows) <= kmax:
+    # zeta^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1))
+    base = tuple(Fraction(-c) for c in cyclotomic_polynomial(n)[:d])
+    rows = [base]
+    for _ in range(max(n, 2 * d - 1) - d - 1):
         prev = rows[-1]
         shifted = [_ZERO] + list(prev[:-1])
         top = prev[-1]
         if top:
             shifted = [shifted[i] + top * base[i] for i in range(d)]
         rows.append(tuple(shifted))
-    return rows
+    return tuple(rows)
 
 
 def _reduce_poly(coeffs: list[Fraction], n: int) -> list[Fraction]:
@@ -96,7 +96,7 @@ def _reduce_poly(coeffs: list[Fraction], n: int) -> list[Fraction]:
     d = euler_phi(n)
     if len(coeffs) <= d:
         return coeffs + [_ZERO] * (d - len(coeffs))
-    rows = _reduction_rows(n, len(coeffs) - 1 - d)
+    rows = _reduction_rows(n)
     out = list(coeffs[:d])
     for k in range(d, len(coeffs)):
         c = coeffs[k]
@@ -148,6 +148,9 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -248,6 +251,11 @@ class CycloNum:
             return CycloNum(self.n, tuple(c / q for c in self.coeffs))
         if isinstance(other, CycloNum):
             return self * other.inverse()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
         return NotImplemented
 
     def __pow__(self, k: int):
@@ -378,43 +386,13 @@ def descend(x: CycloNum, m: int):
             if x.galois(a) != x:
                 return NotInSubfield(a)
     # Fixed by Gal(Q(zeta_n)/Q(zeta_m)): solve for coordinates in the
-    # power basis of zeta_m = zeta_n^(n/m).
+    # power basis of zeta_m = zeta_n^(n/m).  That basis is independent, so
+    # the pivots of the reduced system are its first euler_phi(m) columns.
+    from grax.linalg import rref
+
     dm = euler_phi(m)
     basis = [CycloNum.zeta(m, k).lift(n) for k in range(dm)]
-    dn = len(x.coeffs)
-    # Solve sum_k t_k * basis[k] = x over Q by Gaussian elimination.
-    rows = [[basis[k].coeffs[i] for k in range(dm)] + [x.coeffs[i]] for i in range(dn)]
-    sol = _solve_exact(rows, dm)
-    if sol is None:
+    rows, _ = rref([[b.coeffs[i] for b in basis] + [c] for i, c in enumerate(x.coeffs)], dm)
+    if any(row[dm] for row in rows[dm:]):
         raise ArithmeticError("descent solve failed for a Galois-fixed element")
-    return CycloNum(m, sol)
-
-
-def _solve_exact(rows, ncols):
-    """Solve an overdetermined consistent linear system [A | b] over Q."""
-    m = len(rows)
-    piv_rows = []
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, m) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = pr = [v * inv for v in pr]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if rows[i][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for pr, pc in zip(piv_rows, piv_cols):
-        sol[pc] = rows[pr][ncols]
-    return sol
+    return CycloNum(m, [row[dm] for row in rows[:dm]])

@@ -112,10 +112,7 @@ def ses_iso(theta: GroupAlgebraMatrix, phi: GroupAlgebraMatrix,
     comp = theta * phi
     if not all(e.is_zero() for row in comp.entries for e in row):
         raise ValueError("phi after theta is nonzero: not a complex")
-    sp = section * phi
-    ident = GroupAlgebraMatrix.identity(G, r3)
-    if not all((a - b).is_zero() for ra, rb in zip(sp.entries, ident.entries)
-               for a, b in zip(ra, rb)):
+    if section * phi != GroupAlgebraMatrix.identity(G, r3):
         raise ValueError("section does not split phi")
     for chi, rep in enumerate(irreps(G)):
         c = rep.degree
@@ -185,9 +182,7 @@ def two_term_nrd(theta: GroupAlgebraMatrix,
     if comparison is None or ker_section is None or cok_section is None:
         raise ValueError("singular theta needs comparison and both sections")
     for s in (ker_section, cok_section):
-        prod = theta * s * theta
-        if not all((a - b).is_zero() for ra, rb in zip(prod.entries, theta.entries)
-                   for a, b in zip(ra, rb)):
+        if theta * s * theta != theta:
             raise ValueError("section is not a generalized inverse of theta")
     values = []
     for chi, rep in enumerate(reps):
@@ -195,7 +190,7 @@ def two_term_nrd(theta: GroupAlgebraMatrix,
         T = blocks_T[chi]
         K = kernels[chi]
         TS1 = wedderburn_block(theta * ker_section, chi)
-        L = _row_basis(TS1)
+        L = linalg.row_basis(TS1)
         Cmp = wedderburn_block(comparison, chi)
         S2T = wedderburn_block(cok_section * theta, chi)
         cok_lift = linalg.left_kernel(S2T) if S2T else []
@@ -218,25 +213,3 @@ def two_term_nrd(theta: GroupAlgebraMatrix,
         phi_mat = linalg.mat_mul(binv, images)
         values.append(linalg.mat_det(phi_mat))
     return CentralElement(G, tuple(values))
-
-
-def _row_basis(mat):
-    """A basis of the row space, by row reduction."""
-    if not mat:
-        return []
-    a = [list(r) for r in mat]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if not a[r][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][c].inverse()
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return a[:rank]

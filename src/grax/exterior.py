@@ -21,7 +21,7 @@ from grax import linalg
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           gam_inverse, rep_of_element)
 from grax.cyclotomic import CycloNum
-from grax.fitting import CentralLattice, Verdict
+from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
 from grax.lattices import hnf
 from grax.reps import irreps
@@ -347,26 +347,6 @@ def epsilon_vanishing(M: GroupAlgebraMatrix, eps: ExteriorElement | None = None)
 
 # -- Rubin lattice membership -------------------------------------------------
 
-def _flatten_lattice(G: FiniteGroup, gens: GroupAlgebraMatrix):
-    """Z-basis rows of the Z[G]-span of the generator rows inside Z^(k|G|)."""
-    n = G.order
-    k = gens.cols
-    rows = []
-    for i in range(gens.rows):
-        for g in range(n):
-            vec = [0] * (k * n)
-            for t in range(k):
-                e = gens.entries[i][t]
-                for h, c in enumerate(e.coeffs):
-                    if not c.is_zero():
-                        q = c.as_rational()
-                        if q.denominator != 1:
-                            raise ValueError("lattice generators must be integral")
-                        vec[t * n + G.mul(g, h)] += int(q)
-            rows.append(vec)
-    return hnf(rows, k * n)
-
-
 def _dual_homs(G: FiniteGroup, lattice) -> list[GroupAlgebraMatrix]:
     """Z-module generators of Hom(M, Z[G]) as homs on A^k, via the dual basis."""
     n = G.order
@@ -401,7 +381,8 @@ def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
     k = xe.rank
     if gens.cols != k:
         raise ValueError("generator width must match the ambient rank")
-    lattice = _flatten_lattice(G, gens)
+    # Z-basis rows of the Z[G]-span of the generator rows inside Z^(k|G|)
+    lattice = hnf(regular_int_rows(gens), k * G.order)
     if lattice.rank != k * G.order:
         raise ValueError("degenerate lattice: generators do not span A^k")
     r = xe.degree

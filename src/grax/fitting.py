@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, nrd)
-from grax.groups import FiniteGroup
+from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf, smith_normal_form
 from grax.reps import irreps
 
@@ -314,7 +314,7 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
         # generators (group elements) permutes them
         vectors = []
         for grid in grids:
-            det = _leibniz_det_grid(G, grid)
+            det = leibniz_det(G, grid)
             for g in range(G.order):
                 vectors.append([det.coeffs[G.mul(G.inv(g), h)].as_rational()
                                 for h in range(G.order)])
@@ -348,9 +348,9 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
         gens = []
         for row_subset in itertools.combinations(range(M.rows), k):
             for col_subset in itertools.combinations(range(M.cols), k):
-                det = _leibniz_det(G, M, row_subset, col_subset)
-                gens.append(CentralElement(
-                    G, tuple(_apply_char(rep, det) for rep in reps)))
+                det = leibniz_det(G, [[M.entries[r][c] for c in col_subset]
+                                      for r in row_subset])
+                gens.append(CentralElement(G, tuple(char_value(rep, det) for rep in reps)))
     # translating by a group element permutes class coordinates, so each
     # minor needs one coordinate conversion
     vectors = []
@@ -362,41 +362,23 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
                                 (f"classical {k}-minors",), stable=True, exact=True)
 
 
-def _leibniz_det(G: FiniteGroup, M: GroupAlgebraMatrix, rows, cols) -> GroupAlgebraElement:
-    return _leibniz_det_grid(G, [[M.entries[r][c] for c in cols] for r in rows])
-
-
-def _leibniz_det_grid(G: FiniteGroup, grid) -> GroupAlgebraElement:
+def leibniz_det(G: FiniteGroup, grid) -> GroupAlgebraElement:
+    """Determinant of a square grid over a commutative group ring, by the
+    Leibniz expansion."""
     k = len(grid)
     acc = GroupAlgebraElement.zero(G)
     for perm in itertools.permutations(range(k)):
         term = GroupAlgebraElement.one(G)
         for i in range(k):
             term = term * grid[i][perm[i]]
-        if _perm_sign(perm) < 0:
+        if perm_sign(perm) < 0:
             term = -term
         acc = acc + term
     return acc
 
 
-def _perm_sign(p):
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _apply_char(rep, x: GroupAlgebraElement):
+def char_value(rep, x: GroupAlgebraElement):
+    """The character of rep evaluated on a group-algebra element."""
     acc = None
     for g, c in enumerate(x.coeffs):
         if c.is_zero():
@@ -428,28 +410,23 @@ def hash_lattice(L: CentralLattice) -> CentralLattice:
 
 # -- annihilation ------------------------------------------------------------
 
-def _theta_int_matrix(M: GroupAlgebraMatrix):
-    """Integer matrix of x -> x*M on Z[G]^d, rows indexed by (slot, group label)."""
+def regular_int_rows(M: GroupAlgebraMatrix):
+    """Integer matrix of x -> x*M from Z[G]^rows to Z[G]^cols in the group
+    basis: row (slot t, label g) is the image of g in slot t, and column
+    j*|G| + k is the coefficient of label k in slot j."""
     G = M.group
-    d = M.rows
     n = G.order
-    size = d * n
-
-    def flat(slot, g):
-        return slot * n + g
-
     rows = []
-    for t in range(d):
+    for t in range(M.rows):
         for g in range(n):
-            vec = [0] * size
-            for j in range(d):
-                e = M.entries[t][j]
-                for h, c in enumerate(e.coeffs):
+            vec = [0] * (M.cols * n)
+            for j in range(M.cols):
+                for h, c in enumerate(M.entries[t][j].coeffs):
                     if not c.is_zero():
                         q = c.as_rational()
                         if q.denominator != 1:
                             raise ValueError("integral matrix required")
-                        vec[flat(j, G.mul(g, h))] += int(q)
+                        vec[j * n + G.mul(g, h)] += int(q)
             rows.append(vec)
     return rows
 
@@ -472,7 +449,7 @@ def annihilation_check(M: GroupAlgebraMatrix, x: CentralElement) -> bool:
     if not y.is_integral():
         raise ValueError("x * nrd(M) is not integral")
     d = M.rows
-    image_rows = _theta_int_matrix(M)
+    image_rows = regular_int_rows(M)
     # column space of A = image of theta; SNF membership test for y * e_(j,h)
     A = [[image_rows[c][r] for c in range(len(image_rows))] for r in range(len(image_rows))]
     invariants, U, V = smith_normal_form(A)

@@ -137,11 +137,12 @@ def _dihedral_table(n):
 def _perm_elements(n, even_only=False):
     perms = sorted(itertools.permutations(range(n)))
     if even_only:
-        perms = [p for p in perms if _perm_sign(p) == 1]
+        perms = [p for p in perms if perm_sign(p) == 1]
     return perms
 
 
-def _perm_sign(p):
+def perm_sign(p) -> int:
+    """Sign (+1 or -1) of a permutation given as a tuple of images."""
     sign = 1
     seen = [False] * len(p)
     for i in range(len(p)):

@@ -1,7 +1,11 @@
-"""Exact dense linear algebra over cyclotomic fields.
+"""Exact dense linear algebra over fields, on one elimination kernel.
 
-Matrices are lists of lists of CycloNum.  Everything is plain Gaussian
-elimination; exactness makes pivoting a non-issue beyond nonzero search.
+Matrices are lists of rows.  Every routine reads the result of one
+kernel: `_echelon` does forward elimination to row-echelon form, and
+`rref` adds back-substitution for the reduced row-echelon form.  The kernel
+tests for zero with `not x` and inverts with `1 / x`, so it runs unchanged
+on Fraction rows and on CycloNum rows; exactness makes pivoting a
+non-issue beyond the search for a nonzero entry.
 """
 
 from __future__ import annotations
@@ -10,6 +14,56 @@ from grax.cyclotomic import CycloNum
 
 ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
+
+
+def _echelon(m, ncols):
+    """Forward elimination on the first ncols columns of a copy of m.
+
+    Returns (rows, pivots, swaps): the rows in row-echelon form, the pivot
+    column of each leading row, and the number of row swaps made.  A pivot
+    is inverted only when a nonzero entry lies below it.
+    """
+    a = [list(row) for row in m]
+    pivots = []
+    swaps = 0
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            swaps += 1
+        pr = a[r]
+        below = [i for i in range(r + 1, len(a)) if a[i][c]]
+        if below:
+            inv = 1 / pr[c]
+            for i in below:
+                f = a[i][c] * inv
+                a[i] = a[i][:c] + [x - f * y for x, y in zip(a[i][c:], pr[c:])]
+        pivots.append(c)
+    return a, pivots, swaps
+
+
+def rref(m, ncols):
+    """Reduced row-echelon form of a copy of m, eliminating on the first
+    ncols columns (later columns are carried along, as in [A | B]).
+
+    Returns (rows, pivots): each of the leading len(pivots) rows has a 1
+    in its pivot column and zeros above and below it.
+    """
+    a, pivots, _ = _echelon(m, ncols)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        inv = 1 / a[r][c]
+        a[r] = pr = a[r][:c] + [x * inv for x in a[r][c:]]
+        for i in range(r):
+            f = a[i][c]
+            if f:
+                a[i] = a[i][:c] + [x - f * y for x, y in zip(a[i][c:], pr[c:])]
+    return a, pivots
 
 
 def mat_mul(a, b):
@@ -33,104 +87,40 @@ def mat_identity(n):
 
 
 def mat_det(m):
+    """Determinant of a square matrix: the swap sign times the product of
+    the echelon pivots."""
     n = len(m)
-    if n == 0:
-        return ONE
-    a = [list(row) for row in m]
-    det = ONE
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            det = -det
-        det = det * a[c][c]
-        inv = a[c][c].inverse()
-        for r in range(c + 1, n):
-            if not a[r][c].is_zero():
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    a, pivots, swaps = _echelon(m, n)
+    if len(pivots) < n:
+        return ZERO
+    det = -ONE if swaps % 2 else ONE
+    for r in range(n):
+        det = det * a[r][r]
     return det
 
 
 def mat_rank(m):
-    if not m or not m[0]:
-        return 0
-    a = [list(row) for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if not a[r][c].is_zero()), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][c].inverse()
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_echelon(m, len(m[0]))[1]) if m else 0
 
 
 def mat_inverse(m):
     """Inverse of a square matrix; returns None if singular."""
     n = len(m)
-    a = [list(row) + list(e) for row, e in zip(m, mat_identity(n))]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if not a[r][c].is_zero()), None)
-        if pivot is None:
-            return None
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = a[c][c].inverse()
-        a[c] = [x * inv for x in a[c]]
-        for r in range(n):
-            if r != c and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    a, pivots = rref([list(row) + e for row, e in zip(m, mat_identity(n))], n)
+    if len(pivots) < n:
+        return None
     return [row[n:] for row in a]
-
-
-def mat_adjugate(m):
-    """det(m) * m^(-1) for nonsingular m (the classical adjugate)."""
-    det = mat_det(m)
-    if det.is_zero():
-        raise ValueError("adjugate via inverse needs a nonsingular matrix")
-    inv = mat_inverse(m)
-    return [[det * e for e in row] for row in inv], det
 
 
 def left_kernel(m):
     """Basis rows of {x : x * m = 0} for an r-by-c matrix."""
-    rows = len(m)
-    if rows == 0:
+    n = len(m)
+    if n == 0:
         return []
     # x * m = 0  <=>  m^T x^T = 0; row-reduce m^T.
-    cols = len(m[0])
-    a = [[m[r][c] for r in range(rows)] for c in range(cols)]
-    n = rows
-    pivots = []
-    rank = 0
-    for c in range(n):
-        pivot = next((r for r in range(rank, len(a)) if not a[r][c].is_zero()), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = a[rank][c].inverse()
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(len(a)):
-            if r != rank and not a[r][c].is_zero():
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    a, pivots = rref([list(col) for col in zip(*m)], n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [ZERO] * n
         vec[fc] = ONE
         for r, pc in enumerate(pivots):
@@ -139,43 +129,9 @@ def left_kernel(m):
     return basis
 
 
-def solve_right(a, b):
-    """Solve x * a = b for row vectors b (list of rows); None if inconsistent."""
-    # x * a = b  <=>  a^T x^T = b^T columnwise
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    out = []
-    at = [[a[r][c] for r in range(rows)] for c in range(cols)]
-    for brow in b:
-        aug = [list(at[i]) + [brow[i]] for i in range(cols)]
-        sol = _solve_aug(aug, rows)
-        if sol is None:
-            return None
-        out.append(sol)
-    return out
-
-
-def _solve_aug(aug, nvars):
-    m = len(aug)
-    rank = 0
-    pivots = []
-    for c in range(nvars):
-        pivot = next((r for r in range(rank, m) if not aug[r][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = aug[rank][c].inverse()
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(m):
-            if r != rank and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, m):
-        if not aug[r][nvars].is_zero():
-            return None
-    sol = [ZERO] * nvars
-    for r, c in enumerate(pivots):
-        sol[c] = aug[r][nvars]
-    return sol
+def row_basis(m):
+    """A basis of the row space: the nonzero rows of the reduced echelon form."""
+    if not m:
+        return []
+    a, pivots = rref(m, len(m[0]))
+    return a[:len(pivots)]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.cyclotomic import CycloNum
-from grax.groups import FiniteGroup, perm_elements_of
+from grax.groups import FiniteGroup, perm_elements_of, perm_sign
+from grax.linalg import mat_mul
 
 Matrix = tuple[tuple[CycloNum, ...], ...]
 
@@ -35,12 +36,6 @@ class IrreducibleRep:
 
     def __repr__(self):
         return f"IrreducibleRep({self.group.name}, degree={self.degree})"
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), _ZERO)
-                       for j in range(m)) for i in range(n))
 
 
 def _identity(n: int) -> Matrix:
@@ -62,7 +57,7 @@ def _make_rep(G: FiniteGroup, mats: list[Matrix]) -> IrreducibleRep:
     deg = len(mats[0])
     for a in range(G.order):
         for b in range(G.order):
-            if _mat_mul(mats[a], mats[b]) != mats[G.mul(a, b)]:
+            if mat_mul(mats[a], mats[b]) != list(map(list, mats[G.mul(a, b)])):
                 raise AssertionError(
                     f"{G.name}: representation fails homomorphism at ({a},{b})")
     if mats[0] != _identity(deg):
@@ -163,10 +158,10 @@ def _partition_action(p):
 def _sym4_reps(G: FiniteGroup):
     perms = perm_elements_of(G)
     triv = _char_rep(G, [_ONE] * 24)
-    sign = _char_rep(G, [CycloNum.from_rational(_sign(p)) for p in perms])
+    sign = _char_rep(G, [CycloNum.from_rational(perm_sign(p)) for p in perms])
     std = _make_rep(G, [_perm_matrix_deleted(p) for p in perms])
     std_sign = _make_rep(G, [
-        tuple(tuple(e * _sign(p) for e in row) for row in _perm_matrix_deleted(p))
+        tuple(tuple(e * perm_sign(p) for e in row) for row in _perm_matrix_deleted(p))
         for p in perms])
     two = _make_rep(G, [_perm_matrix_deleted(_partition_action(p)) for p in perms])
     return [triv, sign, two, std, std_sign]
@@ -175,7 +170,7 @@ def _sym4_reps(G: FiniteGroup):
 def _sym3_reps(G: FiniteGroup):
     perms = perm_elements_of(G)
     triv = _char_rep(G, [_ONE] * 6)
-    sign = _char_rep(G, [CycloNum.from_rational(_sign(p)) for p in perms])
+    sign = _char_rep(G, [CycloNum.from_rational(perm_sign(p)) for p in perms])
     std = _make_rep(G, [_perm_matrix_deleted(p) for p in perms])
     return [triv, sign, std]
 
@@ -191,22 +186,6 @@ def _alt4_reps(G: FiniteGroup):
     return out
 
 
-def _sign(p):
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _quaternion_reps(G: FiniteGroup):
     # labels: 0:1 1:-1 2:i 3:-i 4:j 5:-j 6:k 7:-k
     axis_of = ["1", "1", "i", "i", "j", "j", "k", "k"]
@@ -219,7 +198,7 @@ def _quaternion_reps(G: FiniteGroup):
     rho_i = ((z, _ZERO), (_ZERO, -z))
     rho_j = ((_ZERO, _ONE), (-_ONE, _ZERO))
     rho = {0: _identity(2),
-           2: rho_i, 4: rho_j, 6: _mat_mul(rho_i, rho_j)}
+           2: rho_i, 4: rho_j, 6: tuple(map(tuple, mat_mul(rho_i, rho_j)))}
     mats: list[Matrix] = [None] * 8  # type: ignore[list-item]
     for g in (0, 2, 4, 6):
         mats[g] = rho[g]

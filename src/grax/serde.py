@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix
-from grax.cyclotomic import CycloNum
+from grax.cyclotomic import CycloNum, cyclo_make
 from grax.exterior import ExteriorElement
 from grax.fitting import CentralLattice, Verdict
 from grax.groups import FiniteGroup, group_from_catalog
@@ -31,7 +31,7 @@ def cyclo_to_json(x: CycloNum):
 def json_to_cyclo(obj) -> CycloNum:
     if isinstance(obj, (str, int)):
         return CycloNum.from_rational(str_to_rat(obj))
-    return CycloNum(int(obj["n"]), tuple(str_to_rat(c) for c in obj["coeffs"]))
+    return cyclo_make(int(obj["n"]), [str_to_rat(c) for c in obj["coeffs"]])
 
 
 def group_to_json(G: FiniteGroup):
@@ -55,7 +55,10 @@ def gae_to_json(x: GroupAlgebraElement):
 def json_to_gae(G: FiniteGroup, obj) -> GroupAlgebraElement:
     coeffs = [CycloNum.from_rational(0)] * G.order
     for k, v in obj.items():
-        coeffs[int(k)] = json_to_cyclo(v)
+        g = int(k)
+        if not 0 <= g < G.order:
+            raise ValueError(f"group label {k!r} is outside 0..{G.order - 1} for {G.name}")
+        coeffs[g] = json_to_cyclo(v)
     return GroupAlgebraElement.from_coeffs(G, coeffs)
 
 
@@ -68,7 +71,11 @@ def json_to_gam(obj, G: FiniteGroup | None = None) -> GroupAlgebraMatrix:
     if G is None:
         G = json_to_group(obj["group"])
     grid = [[json_to_gae(G, e) for e in row] for row in obj["entries"]]
-    return GroupAlgebraMatrix.from_entries(G, grid)
+    M = GroupAlgebraMatrix.from_entries(G, grid)
+    if (obj.get("rows", M.rows), obj.get("cols", M.cols)) != (M.rows, M.cols):
+        raise ValueError(f"matrix declares {obj.get('rows')}x{obj.get('cols')} "
+                         f"but its entries are {M.rows}x{M.cols}")
+    return M
 
 
 def central_to_json(x: CentralElement):

@@ -23,8 +23,8 @@ from grax.detfun import (det_free, inverse_object, ses_iso, ses_retraction,
 from grax.exterior import (epsilon_from_matrix, epsilon_vanishing, pair,
                            standard_basis_matrix, theta_b, theta_b_bijective,
                            theta_b_section, wedge_elements, wedge_homs)
-from grax.fitting import (Budget, annihilation_check, fit_classical_oracle,
-                          fit_matrix, lattice_from_central, xi_approx)
+from grax.fitting import (Budget, annihilation_check, char_value, fit_classical_oracle,
+                          fit_matrix, lattice_from_central, leibniz_det, xi_approx)
 from grax.groups import group_from_catalog
 from grax.reps import irreps
 from grax.serde import gam_to_json
@@ -124,10 +124,8 @@ def suite_nrd_props(seed=0, cases=500, transpose_cases=200, budget=None) -> Suit
             _fail(res, i, "nrd multiplicativity", group=G.name,
                   A=gam_to_json(A), B=gam_to_json(B))
         if G.is_abelian():
-            det = _leibniz_det_gam(A)
-            reps = irreps(G)
-            char_det = CentralElement(G, tuple(
-                _char_value(rep, det) for rep in reps))
+            det = leibniz_det(G, A.entries)
+            char_det = CentralElement(G, tuple(char_value(rep, det) for rep in irreps(G)))
             if nrd(A) != char_det:
                 _fail(res, i, "abelian characterwise determinant", group=G.name,
                       A=gam_to_json(A))
@@ -140,42 +138,6 @@ def suite_nrd_props(seed=0, cases=500, transpose_cases=200, budget=None) -> Suit
             _fail(res, i, "transpose identity", group=G.name, A=gam_to_json(A))
     res.elapsed = time.time() - t0
     return res
-
-
-def _leibniz_det_gam(M):
-    G = M.group
-    acc = GroupAlgebraElement.zero(G)
-    for perm in itertools.permutations(range(M.rows)):
-        term = GroupAlgebraElement.one(G)
-        for r, c in enumerate(perm):
-            term = term * M.entries[r][c]
-        sign = _perm_sign(perm)
-        acc = acc + (term if sign > 0 else -term)
-    return acc
-
-
-def _perm_sign(p):
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _char_value(rep, x):
-    acc = CycloNum.from_rational(0)
-    for g, c in enumerate(x.coeffs):
-        if not c.is_zero():
-            acc = acc + c * rep.character[g]
-    return acc
 
 
 _ADJOINT_GROUPS = ("C6", "S3", "D4", "Q8", "A4")
@@ -206,7 +168,7 @@ def suite_adjoint(seed=0, cases=200, budget=None) -> SuiteResult:
             G, [[ident.entries[r][c] * nv.to_group_algebra() for c in range(n)]
                 for r in range(n)])
         left, right = M * star, star * M
-        if not _gam_eq(left, scaled) or not _gam_eq(right, scaled):
+        if left != scaled or right != scaled:
             _fail(res, i, "M M* = M* M = nrd(M) I", group=G.name, M=gam_to_json(M))
         for chi in range(len(irreps(G))):
             from grax.algebra import wedderburn_block
@@ -474,11 +436,6 @@ def suite_xi(seed=0, budget=None) -> SuiteResult:
                      f"denominator={xi.denominator}")
     res.elapsed = time.time() - t0
     return res
-
-
-def _gam_eq(A, B):
-    return all((a - b).is_zero() for ra, rb in zip(A.entries, B.entries)
-               for a, b in zip(ra, rb))
 
 
 SUITES = {

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from grax.algebra import GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cli import main
 from grax.groups import group_from_catalog
@@ -138,3 +140,32 @@ def test_budget_env_var(capsys, monkeypatch):
     assert doc["result"]["denominator"] >= 1
     assert "1x1 elements" in doc["result"]["provenance"][0]
     assert len(doc["result"]["provenance"]) == 1  # no 2x2 pass under the env budget
+
+
+def test_cyclo_coefficient_count_is_checked():
+    # one coefficient for conductor 5 used to give a value printing as 1
+    # that compared unequal to 1
+    with pytest.raises(ValueError, match="expected 4 coefficients"):
+        serde.json_to_cyclo({"n": 5, "coeffs": ["1"]})
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        serde.json_to_cyclo({"n": 0, "coeffs": []})
+    assert serde.json_to_cyclo({"n": 5, "coeffs": ["1", "0", "0", "0"]}) == 1
+
+
+def _s3_matrix(entry, **shape):
+    return json.dumps({"group": "S3", "entries": [[entry]], **shape})
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (_s3_matrix({"-1": "1"}), "outside 0..5"),
+    (_s3_matrix({"6": "1"}), "outside 0..5"),
+    (_s3_matrix({"0": {"n": 3, "coeffs": ["1"]}}), "expected 2 coefficients"),
+    (_s3_matrix({"0": "1"}, rows=2, cols=1), "declares 2x1"),
+    (_s3_matrix({"0": "1"}, rows=1, cols=3), "declares 1x3"),
+], ids=["negative-label", "label-past-order", "short-coefficients", "rows-disagree",
+        "cols-disagree"])
+def test_malformed_matrix_is_usage_error(capsys, matrix, message):
+    code, out, err = run_cli(capsys, "nrd", "--group", "S3", "--matrix", matrix)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and message in err

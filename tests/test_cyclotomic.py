@@ -131,3 +131,47 @@ def test_mixed_conductor_arithmetic():
     w = z3 * z4
     assert w ** 12 == 1
     assert w.n == 12
+
+
+def test_reduction_table_is_thread_safe():
+    # Every thread starts on an empty table for each conductor, so a shared
+    # table built lazily by several threads at once would corrupt products.
+    import random
+    import sys
+    import threading
+
+    from grax.cyclotomic import _reduction_rows
+
+    rng = random.Random(5)
+    conductors = (5, 9, 12, 15, 16, 20, 21, 24)
+    cases = [(n, cyclo_make(n, [rng.randrange(-3, 4) for _ in range(euler_phi(n))]),
+              cyclo_make(n, [rng.randrange(-3, 4) for _ in range(euler_phi(n))]))
+             for n in conductors for _ in range(3)]
+
+    def work(order):
+        out = {}
+        for i in order:
+            _, x, y = cases[i]
+            prod = x * y
+            inv = x.inverse() if not x.is_zero() else None
+            out[i] = (prod.n, prod.coeffs, inv and (inv.n, inv.coeffs))
+        return out
+
+    _reduction_rows.cache_clear()
+    want = work(range(len(cases)))
+    orders = [rng.sample(range(len(cases)), len(cases)) for _ in range(8)]
+    results = []
+    threads = [threading.Thread(target=lambda o=o: results.append(work(o))) for o in orders]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _reduction_rows.cache_clear()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    assert all(r == want for r in results)

@@ -1,0 +1,51 @@
+"""Golden CLI reports: each command's --no-timestamp report must match the
+recorded bytes in tests/golden/reports exactly.
+
+The inputs live in tests/golden/inputs.  A report changes only when a
+change of results is intended; record the new bytes by running the same
+argv through `python -m grax ... --no-timestamp` and say why in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from grax.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _in(name):
+    return f"@{GOLDEN / 'inputs' / name}"
+
+
+CASES = {
+    "nrd_s3": ["nrd", "--group", "S3", "--matrix", _in("s3_2x2.json")],
+    "adjoint_q8": ["adjoint", "--group", "Q8", "--matrix", _in("q8_2x2.json")],
+    "det_ses_d4": ["det", "--group", "D4", "--op", "ses",
+                   "--theta", _in("d4_ses_theta.json"), "--phi", _in("d4_ses_phi.json"),
+                   "--section", _in("d4_ses_section.json")],
+    "det_two_term_s3": ["det", "--group", "S3", "--op", "two-term",
+                        "--theta", _in("s3_tt_theta.json"),
+                        "--comparison", _in("s3_tt_comparison.json"),
+                        "--ker-section", _in("s3_tt_section.json"),
+                        "--cok-section", _in("s3_tt_section.json")],
+    "fit_c4": ["fit", "--group", "C4", "--matrix", _in("c4_3x2.json"), "--a", "1",
+               "--oracle-check"],
+    "fit_s3": ["fit", "--group", "S3", "--matrix", _in("s3_2x2.json"), "--a", "1",
+               "--budget", '{"max_matrix_size": 2, "max_candidates": 2000}'],
+    "epsilon_q8": ["epsilon", "--group", "Q8", "--matrix", _in("q8_3x2.json")],
+    "rubin_c4": ["rubin", "--group", "C4", "--element", _in("c4_rubin_element.json"),
+                 "--gens", _in("c4_rubin_gens.json")],
+    "cyclo_f7_l3": ["cyclo", "--f", "7", "--ell", "3"],
+    "suite_nrd_props": ["suite", "--name", "nrd-props", "--scale", "0.1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_report(case, capsys, monkeypatch):
+    monkeypatch.delenv("GRAX_BUDGET", raising=False)
+    code = main(CASES[case] + ["--no-timestamp"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "reports" / f"{case}.json").read_text(encoding="utf-8")

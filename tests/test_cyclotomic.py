@@ -1,12 +1,16 @@
 """Exact cyclotomic arithmetic: spec examples and field-axiom properties."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax.cyclotomic import (CycloNum, NotInSubfield, cyclo_inverse, cyclo_make,
-                             cyclotomic_polynomial, descend, euler_phi, galois_apply)
+from grax.cyclotomic import (CycloNum, NotInSubfield, _reduction_rows, cyclo_inverse,
+                             cyclo_make, cyclotomic_polynomial, descend, euler_phi,
+                             galois_apply)
 
 
 def test_make_degree_one_field():
@@ -136,12 +140,6 @@ def test_mixed_conductor_arithmetic():
 def test_reduction_table_is_thread_safe():
     # Every thread starts on an empty table for each conductor, so a shared
     # table built lazily by several threads at once would corrupt products.
-    import random
-    import sys
-    import threading
-
-    from grax.cyclotomic import _reduction_rows
-
     rng = random.Random(5)
     conductors = (5, 9, 12, 15, 16, 20, 21, 24)
     cases = [(n, cyclo_make(n, [rng.randrange(-3, 4) for _ in range(euler_phi(n))]),

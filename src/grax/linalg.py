@@ -4,8 +4,8 @@ Matrices are lists of rows.  Every routine reads the result of one
 kernel: `_echelon` does forward elimination to row-echelon form, and
 `rref` adds back-substitution for the reduced row-echelon form.  The kernel
 tests for zero with `not x` and inverts with `1 / x`, so it runs unchanged
-on Fraction rows and on CycloNum rows; exactness makes pivoting a
-non-issue beyond the search for a nonzero entry.
+on Fraction rows and on CycloNum rows.  Arithmetic is exact, so pivoting
+only has to find a nonzero entry.
 """
 
 from __future__ import annotations

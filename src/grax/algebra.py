@@ -257,6 +257,15 @@ def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
     return out
 
 
+def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
+    """The block of M over the opposite algebra: wedderburn_block with each
+    deg x deg sub-block transposed in place."""
+    c = _rep_list(M.group)[chi].degree
+    blk = wedderburn_block(M, chi)
+    return [[blk[U - U % c + V % c][V - V % c + U % c] for V in range(M.cols * c)]
+            for U in range(M.rows * c)]
+
+
 def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
     """Two-sided inverse of wedderburn: Fourier inversion of a block tuple."""
     reps = _rep_list(G)
@@ -441,21 +450,9 @@ def nrd_op(M: GroupAlgebraMatrix) -> CentralElement:
     """Reduced norm of M viewed over the opposite algebra (blockwise transpose)."""
     if M.rows != M.cols:
         raise ValueError("reduced norm needs a square matrix")
-    G = M.group
-    reps = _rep_list(G)
-    values = []
-    for chi, rep in enumerate(reps):
-        c = rep.degree
-        blk = wedderburn_block(M, chi)
-        n = M.rows * c
-        t = [[ZERO] * n for _ in range(n)]
-        for u in range(M.rows):
-            for v in range(M.cols):
-                for i in range(c):
-                    for j in range(c):
-                        t[u * c + i][v * c + j] = blk[u * c + j][v * c + i]
-        values.append(linalg.mat_det(t))
-    return CentralElement(G, tuple(values))
+    values = tuple(linalg.mat_det(wedderburn_block_op(M, i))
+                   for i in range(len(_rep_list(M.group))))
+    return CentralElement(M.group, values)
 
 
 def nrd_element(x: GroupAlgebraElement) -> CentralElement:

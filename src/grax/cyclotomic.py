@@ -4,7 +4,8 @@ Elements are stored as coordinate vectors in the power basis
 1, zeta_n, ..., zeta_n^(phi(n)-1) modulo the n-th cyclotomic polynomial,
 with Fraction coefficients.  Equality across conductors goes through the
 compatible system zeta_m = zeta_n^(n/m) for m | n, so mixed-conductor
-arithmetic is well defined.
+arithmetic is well defined.  Inversion and descent solve a linear system
+over Q on the elimination kernel in `grax.linalg`.
 """
 
 from __future__ import annotations
@@ -228,22 +229,21 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse, by extended gcd against Phi_n."""
+        """Multiplicative inverse: solve self * x = 1 for the coordinates of x.
+
+        Column k of the phi(n) x phi(n) system holds the coordinates of
+        self * zeta^k; it is invertible because Q(zeta_n) is a field."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        r0, r1 = phi, list(self.coeffs)
-        t0, t1 = [_ZERO], [_ONE]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        # r0 is a nonzero constant gcd (Phi_n is irreducible over Q).
-        lead = next(c for c in r0 if c)
-        if any(c for i, c in enumerate(r0) if i > 0 and c):
-            raise ArithmeticError("gcd with cyclotomic polynomial not constant")
-        inv = [c / lead for c in t0]
-        return CycloNum(self.n, _reduce_poly(inv, self.n))
+        from grax.linalg import rref
+
+        d = euler_phi(self.n)
+        cols = [_reduce_poly([_ZERO] * k + list(self.coeffs), self.n) for k in range(d)]
+        rows, pivots = rref([[col[i] for col in cols] + [_ONE if i == 0 else _ZERO]
+                             for i in range(d)], d)
+        if len(pivots) < d:
+            raise ArithmeticError("multiplication by a nonzero element is singular")
+        return CycloNum(self.n, [row[d] for row in rows])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -301,40 +301,6 @@ class CycloNum:
         if self.is_rational():
             return f"CycloNum({self.coeffs[0]})"
         return f"CycloNum(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c)
-    q = [_ZERO] * max(1, len(a) - db)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k]:
-            f = a[k] / b[db]
-            q[k - db] = f
-            for i in range(db + 1):
-                a[k - db + i] -= f * b[i]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [_ZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # -- the operations exposed to the rest of the package ---------------------

@@ -3,9 +3,11 @@ coordinate splitting, Rubin-lattice membership, and the canonical kernel
 element of a presentation matrix.
 
 Per character chi of degree c, an element of A^k splits into c row slices
-of length k*c; wedges live in the exterior algebra of E^(k*c) with the
-lexicographic basis indexed by ascending subsets.  The slice order is
-fixed once and for all: element index major, slice index minor.  With that
+of length k*c: the slices of row u of a matrix M are rows u*c .. u*c+c-1 of
+its Wedderburn block, and the slices of a hom are the same rows of the block
+over the opposite algebra.  Wedges live in the exterior algebra of E^(k*c)
+with the lexicographic basis indexed by ascending subsets.  The slice order
+is fixed once and for all: element index major, slice index minor.  With that
 order the full pairing of r hom-slices against r element-slices equals the
 reduced norm of the Gram matrix over the opposite algebra, which is the
 anchor identity every other convention here is checked against.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from grax import linalg
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          gam_inverse, rep_of_element)
+                          gam_inverse, wedderburn_block, wedderburn_block_op)
 from grax.cyclotomic import CycloNum
 from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
@@ -76,22 +78,6 @@ def _contract(coords, degree: int, n: int, f):
                 out[j] = out[j] + (term if sign > 0 else -term)
             sign = -sign
     return out
-
-
-def _element_slices(G: FiniteGroup, rep, element):
-    """The deg(chi) split vectors of one element of A^k, slice index minor."""
-    c = rep.degree
-    k = len(element)
-    blocks = [rep_of_element(e, rep) for e in element]
-    return [[blocks[t][j][jp] for t in range(k) for jp in range(c)] for j in range(c)]
-
-
-def _hom_slices(G: FiniteGroup, rep, hom):
-    """The deg(chi) dual split vectors of one hom, given by its values on the basis."""
-    c = rep.degree
-    k = len(hom)
-    blocks = [rep_of_element(e, rep) for e in hom]
-    return [[blocks[t][jp][j] for t in range(k) for jp in range(c)] for j in range(c)]
 
 
 @dataclass(frozen=True)
@@ -153,22 +139,6 @@ class HomWedge:
     degree: int
     factors: tuple[tuple[tuple[CycloNum, ...], ...], ...]  # per chi, list of dual vectors
 
-    def comps(self):
-        """Coordinate form in the same subset basis as ExteriorElement."""
-        reps = irreps(self.group)
-        out = []
-        for rep, fs in zip(reps, self.factors):
-            n = self.rank * rep.degree
-            coords = [ONE]
-            for d, f in enumerate(fs):
-                coords = _wedge_append(coords, d, n, f)
-            out.append(tuple(coords))
-        return tuple(out)
-
-
-def _rows_of(M: GroupAlgebraMatrix):
-    return [list(M.entries[i]) for i in range(M.rows)]
-
 
 def wedge_elements(M: GroupAlgebraMatrix) -> ExteriorElement:
     """Wedge of the rows of M (r elements of A^k, r <= k), in the fixed order."""
@@ -176,16 +146,12 @@ def wedge_elements(M: GroupAlgebraMatrix) -> ExteriorElement:
     r, k = M.rows, M.cols
     if r > k:
         raise ValueError("cannot wedge more elements than the ambient rank")
-    reps = irreps(G)
     comps = []
-    for rep in reps:
+    for chi, rep in enumerate(irreps(G)):
         n = k * rep.degree
         coords = [ONE]
-        deg = 0
-        for row in _rows_of(M):
-            for vec in _element_slices(G, rep, row):
-                coords = _wedge_append(coords, deg, n, vec)
-                deg += 1
+        for deg, vec in enumerate(wedderburn_block(M, chi)):
+            coords = _wedge_append(coords, deg, n, vec)
         comps.append(tuple(coords))
     return ExteriorElement(G, k, r, tuple(comps))
 
@@ -198,14 +164,9 @@ def wedge_homs(M: GroupAlgebraMatrix) -> HomWedge:
     s, k = M.rows, M.cols
     if s > k:
         raise ValueError("cannot wedge more homs than the ambient rank")
-    reps = irreps(G)
-    factors = []
-    for rep in reps:
-        fs = []
-        for row in _rows_of(M):
-            fs.extend(tuple(v) for v in _hom_slices(G, rep, row))
-        factors.append(tuple(fs))
-    return HomWedge(G, k, s, tuple(factors))
+    factors = tuple(tuple(tuple(v) for v in wedderburn_block_op(M, chi))
+                    for chi in range(len(irreps(G))))
+    return HomWedge(G, k, s, factors)
 
 
 def pair(hw: HomWedge, xe: ExteriorElement):
@@ -296,7 +257,8 @@ def epsilon_from_matrix(M: GroupAlgebraMatrix) -> ExteriorElement:
     homs = GroupAlgebraMatrix.from_entries(
         G, [[M.entries[t][i] for t in range(d_)] for i in range(d)])
     top = wedge_elements(standard_basis_matrix(G, d_, range(d_)))
-    raw = pair(wedge_homs(homs), top)
+    hw = wedge_homs(homs)
+    raw = pair(hw, top)
     reps = irreps(G)
     signed = []
     for rep, comp in zip(reps, raw.comps):
@@ -305,34 +267,26 @@ def epsilon_from_matrix(M: GroupAlgebraMatrix) -> ExteriorElement:
         else:
             signed.append(comp)
     eps = ExteriorElement(G, d_, r, tuple(signed))
-    _assert_in_kernel_wedge(M, eps)
+    _assert_in_kernel_wedge(hw, eps)
     return eps
 
 
-def _assert_in_kernel_wedge(M: GroupAlgebraMatrix, eps: ExteriorElement):
+def _assert_in_kernel_wedge(hw: HomWedge, eps: ExteriorElement):
     # eps lies in the wedge of ker iff contraction by every functional in the
     # row space of the split map kills it; those functionals are exactly the
     # slices of the coordinate homs.
-    G = M.group
-    d_, d = M.rows, M.cols
-    reps = irreps(G)
-    for chi, rep in enumerate(reps):
-        n = d_ * rep.degree
+    for rep, fs, comp in zip(irreps(eps.group), hw.factors, eps.comps):
+        n = eps.rank * rep.degree
         deg = eps.degree * rep.degree
-        for i in range(d):
-            hom = [M.entries[t][i] for t in range(d_)]
-            for f in _hom_slices(G, rep, hom):
-                reduced = _contract(list(eps.comps[chi]), deg, n, f)
-                if any(not v.is_zero() for v in reduced):
-                    raise AssertionError(
-                        "kernel element escapes the kernel wedge; convention bug")
+        for f in fs:
+            if any(not v.is_zero() for v in _contract(list(comp), deg, n, f)):
+                raise AssertionError(
+                    "kernel element escapes the kernel wedge; convention bug")
 
 
 def epsilon_vanishing(M: GroupAlgebraMatrix, eps: ExteriorElement | None = None):
     """Per-character comparison: the component of the kernel element is nonzero
     exactly when the split kernel has the generic dimension r * deg(chi)."""
-    from grax.algebra import wedderburn_block
-
     G = M.group
     if eps is None:
         eps = epsilon_from_matrix(M)

@@ -448,24 +448,19 @@ def annihilation_check(M: GroupAlgebraMatrix, x: CentralElement) -> bool:
     y = (x * n).to_group_algebra()
     if not y.is_integral():
         raise ValueError("x * nrd(M) is not integral")
-    d = M.rows
     image_rows = regular_int_rows(M)
-    # column space of A = image of theta; SNF membership test for y * e_(j,h)
-    A = [[image_rows[c][r] for c in range(len(image_rows))] for r in range(len(image_rows))]
+    # column space of A = image of theta; SNF membership test for each
+    # h * y e_j, a row of the regular representation of y I (y is central)
+    size = len(image_rows)
+    A = [[image_rows[c][r] for c in range(size)] for r in range(size)]
     invariants, U, V = smith_normal_form(A)
-    size = d * G.order
-    for j in range(d):
-        for h in range(G.order):
-            target = [0] * size
-            for g, c in enumerate(y.coeffs):
-                if not c.is_zero():
-                    target[j * G.order + G.mul(g, h)] += int(c.as_rational())
-            w = [sum(U[r][s] * target[s] for s in range(size)) for r in range(size)]
-            for r in range(size):
-                dr = invariants[r] if r < len(invariants) else 0
-                if dr == 0:
-                    if w[r] != 0:
-                        return False
-                elif w[r] % dr:
+    for target in regular_int_rows(GroupAlgebraMatrix.identity(G, M.rows) * y):
+        w = [sum(U[r][s] * target[s] for s in range(size)) for r in range(size)]
+        for r in range(size):
+            dr = invariants[r] if r < len(invariants) else 0
+            if dr == 0:
+                if w[r] != 0:
                     return False
+            elif w[r] % dr:
+                return False
     return True

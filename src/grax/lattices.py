@@ -104,14 +104,6 @@ class IntLattice:
             return all(c.denominator == 1 for c in coeffs)
         return all(c.denominator % p != 0 for c in coeffs)
 
-    def join(self, other: "IntLattice") -> "IntLattice":
-        if other.ambient_rank != self.ambient_rank:
-            raise ValueError("ambient rank mismatch")
-        return hnf([list(r) for r in self.basis + other.basis], self.ambient_rank)
-
-    def contains_lattice(self, other: "IntLattice") -> bool:
-        return all(self.contains(list(r)) for r in other.basis)
-
 
 def hnf(generators, ambient_rank: int | None = None) -> IntLattice:
     """Hermite normal form lattice of the integer span of the generators."""

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over fields, on one elimination kernel.
 
-Matrices are lists of rows.  Every routine reads the result of one
-kernel: `_echelon` does forward elimination to row-echelon form, and
-`rref` adds back-substitution for the reduced row-echelon form.  The kernel
-tests for zero with `not x` and inverts with `1 / x`, so it runs unchanged
-on Fraction rows and on CycloNum rows.  Arithmetic is exact, so pivoting
-only has to find a nonzero entry.
+Matrices are lists of rows.  Every routine here, and `CycloNum.inverse`
+and `descend` in `grax.cyclotomic`, reads the result of one kernel:
+`_echelon` does forward elimination to row-echelon form, and `rref` adds
+back-substitution for the reduced row-echelon form.  The kernel tests for
+zero with `not x` and inverts with `1 / x`, so it runs unchanged on
+Fraction rows and on CycloNum rows.  Arithmetic is exact, so pivoting only
+has to find a nonzero entry.
 """
 
 from __future__ import annotations

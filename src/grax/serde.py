@@ -52,7 +52,18 @@ def gae_to_json(x: GroupAlgebraElement):
     return {str(g): cyclo_to_json(c) for g, c in enumerate(x.coeffs) if not c.is_zero()}
 
 
+def _group_named(obj, G: FiniteGroup | None) -> FiniteGroup:
+    """The group obj names; when G is given, obj must name G or no group."""
+    if G is None:
+        return json_to_group(obj["group"])
+    if "group" in obj and json_to_group(obj["group"]).name != G.name:
+        raise ValueError(f"the JSON names group {obj['group']!r}, not {G.name}")
+    return G
+
+
 def json_to_gae(G: FiniteGroup, obj) -> GroupAlgebraElement:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a group-algebra element is a JSON object, not {obj!r}")
     coeffs = [CycloNum.from_rational(0)] * G.order
     for k, v in obj.items():
         g = int(k)
@@ -68,8 +79,7 @@ def gam_to_json(M: GroupAlgebraMatrix):
 
 
 def json_to_gam(obj, G: FiniteGroup | None = None) -> GroupAlgebraMatrix:
-    if G is None:
-        G = json_to_group(obj["group"])
+    G = _group_named(obj, G)
     grid = [[json_to_gae(G, e) for e in row] for row in obj["entries"]]
     M = GroupAlgebraMatrix.from_entries(G, grid)
     if (obj.get("rows", M.rows), obj.get("cols", M.cols)) != (M.rows, M.cols):
@@ -84,8 +94,7 @@ def central_to_json(x: CentralElement):
 
 
 def json_to_central(obj, G: FiniteGroup | None = None) -> CentralElement:
-    if G is None:
-        G = json_to_group(obj["group"])
+    G = _group_named(obj, G)
     return CentralElement(G, tuple(json_to_cyclo(v) for v in obj["values"]))
 
 

@@ -162,10 +162,29 @@ def _s3_matrix(entry, **shape):
     (_s3_matrix({"0": {"n": 3, "coeffs": ["1"]}}), "expected 2 coefficients"),
     (_s3_matrix({"0": "1"}, rows=2, cols=1), "declares 2x1"),
     (_s3_matrix({"0": "1"}, rows=1, cols=3), "declares 1x3"),
+    (_s3_matrix(5), "is a JSON object"),
+    (json.dumps({"group": "Q8", "entries": [[{"0": "1", "5": "1"}]]}), "names group 'Q8'"),
 ], ids=["negative-label", "label-past-order", "short-coefficients", "rows-disagree",
-        "cols-disagree"])
+        "cols-disagree", "entry-not-object", "other-group"])
 def test_malformed_matrix_is_usage_error(capsys, matrix, message):
     code, out, err = run_cli(capsys, "nrd", "--group", "S3", "--matrix", matrix)
     assert code == 2
     assert out == ""
     assert "usage error" in err and message in err
+
+
+def test_central_of_other_group_is_usage_error(capsys):
+    # S3 and C3 both have three characters, so only the group check tells them apart
+    code, out, err = run_cli(capsys, "annihilate", "--group", "C3",
+                             "--matrix", json.dumps({"group": "C3", "entries": [[{"0": "2"}]]}),
+                             "--x", json.dumps({"group": "S3", "values": ["1", "1", "1"]}))
+    assert code == 2
+    assert out == ""
+    assert "names group 'S3'" in err
+
+
+def test_json_without_group_reads_in_the_cli_group(capsys):
+    code, out, _ = run_cli(capsys, "nrd", "--group", "S3", "--matrix",
+                           json.dumps({"entries": [[{"0": "1", "5": "1"}]]}))
+    assert code == 0
+    assert json.loads(out)["result"]["values"] == ["2", "0", "0"]

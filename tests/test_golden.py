@@ -39,6 +39,7 @@ CASES = {
                  "--gens", _in("c4_rubin_gens.json")],
     "cyclo_f7_l3": ["cyclo", "--f", "7", "--ell", "3"],
     "suite_nrd_props": ["suite", "--name", "nrd-props", "--scale", "0.1"],
+    "xi_q8": ["xi", "--group", "Q8", "--budget", '{"max_candidates": 2000}'],
 }
 
 

@@ -14,8 +14,6 @@ import functools
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -168,12 +166,10 @@ class CycloNum:
     # -- arithmetic ----------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, CycloNum):
-            pass
-        elif isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycloNum):
+            if not isinstance(other, (int, Fraction)):
+                return None, None
             other = CycloNum.from_rational(other)
-        else:
-            return None, None
         if self.n == other.n:
             return self, other
         m = self.n * other.n // math.gcd(self.n, other.n)
@@ -231,14 +227,18 @@ class CycloNum:
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse: solve self * x = 1 for the coordinates of x.
 
-        Column k of the phi(n) x phi(n) system holds the coordinates of
-        self * zeta^k; it is invertible because Q(zeta_n) is a field."""
+        Column k of the phi(n) x phi(n) system holds self * zeta^k, built
+        from column k - 1 by one shift and one fold of zeta^phi(n)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         from grax.linalg import rref
 
         d = euler_phi(self.n)
-        cols = [_reduce_poly([_ZERO] * k + list(self.coeffs), self.n) for k in range(d)]
+        zeta_d = _reduction_rows(self.n)[0]
+        cols = [list(self.coeffs)]
+        for _ in range(d - 1):
+            top, col = cols[-1][-1], [_ZERO] + cols[-1][:-1]
+            cols.append([x + top * z if z else x for x, z in zip(col, zeta_d)] if top else col)
         rows, pivots = rref([[col[i] for col in cols] + [_ONE if i == 0 else _ZERO]
                              for i in range(d)], d)
         if len(pivots) < d:

@@ -4,9 +4,9 @@ Matrices are lists of rows.  Every routine here, and `CycloNum.inverse`
 and `descend` in `grax.cyclotomic`, reads the result of one kernel:
 `_echelon` does forward elimination to row-echelon form, and `rref` adds
 back-substitution for the reduced row-echelon form.  The kernel tests for
-zero with `not x` and inverts with `1 / x`, so it runs unchanged on
-Fraction rows and on CycloNum rows.  Arithmetic is exact, so pivoting only
-has to find a nonzero entry.
+zero with `not x` (and skips the row operations on a zero entry) and
+inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
+Arithmetic is exact, so pivoting only has to find a nonzero entry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _echelon(m, ncols):
             inv = 1 / pr[c]
             for i in below:
                 f = a[i][c] * inv
-                a[i] = a[i][:c] + [x - f * y for x, y in zip(a[i][c:], pr[c:])]
+                a[i] = a[i][:c] + [x - f * y if y else x for x, y in zip(a[i][c:], pr[c:])]
         pivots.append(c)
     return a, pivots, swaps
 
@@ -59,11 +59,11 @@ def rref(m, ncols):
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         inv = 1 / a[r][c]
-        a[r] = pr = a[r][:c] + [x * inv for x in a[r][c:]]
+        a[r] = pr = a[r][:c] + [x * inv if x else x for x in a[r][c:]]
         for i in range(r):
             f = a[i][c]
             if f:
-                a[i] = a[i][:c] + [x - f * y for x, y in zip(a[i][c:], pr[c:])]
+                a[i] = a[i][:c] + [x - f * y if y else x for x, y in zip(a[i][c:], pr[c:])]
     return a, pivots
 
 

@@ -10,7 +10,6 @@ rational group algebra, and every constructor checks it exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,11 +208,6 @@ class GroupAlgebraMatrix:
 
 # -- Wedderburn isomorphism -------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _rep_list(G: FiniteGroup) -> tuple[IrreducibleRep, ...]:
-    return irreps(G)
-
-
 def rep_of_element(x: GroupAlgebraElement, rep: IrreducibleRep):
     """The matrix sum(coeff_g * rho(g)) over the splitting field."""
     c = rep.degree
@@ -237,12 +231,12 @@ def rep_of_element(x: GroupAlgebraElement, rep: IrreducibleRep):
 
 def wedderburn(x: GroupAlgebraElement):
     """Per-character image of x under E[G] -> prod M_deg(E)."""
-    return tuple(rep_of_element(x, rep) for rep in _rep_list(x.group))
+    return tuple(rep_of_element(x, rep) for rep in irreps(x.group))
 
 
 def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
     """The (rows*deg) x (cols*deg) splitting-field matrix of M at one character."""
-    rep = _rep_list(M.group)[chi]
+    rep = irreps(M.group)[chi]
     c = rep.degree
     out = [[ZERO] * (M.cols * c) for _ in range(M.rows * c)]
     for u in range(M.rows):
@@ -260,7 +254,7 @@ def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
 def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
     """The block of M over the opposite algebra: wedderburn_block with each
     deg x deg sub-block transposed in place."""
-    c = _rep_list(M.group)[chi].degree
+    c = irreps(M.group)[chi].degree
     blk = wedderburn_block(M, chi)
     return [[blk[U - U % c + V % c][V - V % c + U % c] for V in range(M.cols * c)]
             for U in range(M.rows * c)]
@@ -268,7 +262,7 @@ def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
 
 def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
     """Two-sided inverse of wedderburn: Fourier inversion of a block tuple."""
-    reps = _rep_list(G)
+    reps = irreps(G)
     if len(blocks) != len(reps):
         raise ValueError("block count must match the number of irreducibles")
     for rep, b in zip(reps, blocks):
@@ -293,7 +287,7 @@ def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
 
 def matrix_from_blocks(G: FiniteGroup, rows: int, cols: int, blocks) -> GroupAlgebraMatrix:
     """Reassemble a group-algebra matrix from its per-character block images."""
-    reps = _rep_list(G)
+    reps = irreps(G)
     grid = []
     for u in range(rows):
         row = []
@@ -318,18 +312,18 @@ class CentralElement:
     values: tuple[CycloNum, ...]
 
     def __post_init__(self):
-        if len(self.values) != len(_rep_list(self.group)):
+        if len(self.values) != len(irreps(self.group)):
             raise ValueError("one value per irreducible character required")
         _assert_galois_consistent(self.group, self.values)
 
     @staticmethod
     def one(G: FiniteGroup) -> "CentralElement":
-        return CentralElement(G, (ONE,) * len(_rep_list(G)))
+        return CentralElement(G, (ONE,) * len(irreps(G)))
 
     @staticmethod
     def from_rational(G: FiniteGroup, q) -> "CentralElement":
         v = _as_cyclo(q)
-        return CentralElement(G, (v,) * len(_rep_list(G)))
+        return CentralElement(G, (v,) * len(irreps(G)))
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
@@ -360,7 +354,7 @@ class CentralElement:
     def coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the conjugacy-class-sum basis of the rational center."""
         G = self.group
-        reps = _rep_list(G)
+        reps = irreps(G)
         out = []
         for cls in G.conjugacy_classes:
             g = cls[0]
@@ -375,7 +369,7 @@ class CentralElement:
 
     @staticmethod
     def from_coords(G: FiniteGroup, coords) -> "CentralElement":
-        reps = _rep_list(G)
+        reps = irreps(G)
         values = []
         for rep in reps:
             acc = ZERO
@@ -439,7 +433,7 @@ def nrd(M: GroupAlgebraMatrix) -> CentralElement:
     if not M.is_rational():
         raise ValueError("reduced norm is defined here for rational coefficients")
     values = tuple(linalg.mat_det(wedderburn_block(M, i))
-                   for i in range(len(_rep_list(M.group))))
+                   for i in range(len(irreps(M.group))))
     out = CentralElement(M.group, values)
     if M.is_integral() and not out.is_integral():
         raise AssertionError("reduced norm of an integral matrix must be integral")
@@ -451,7 +445,7 @@ def nrd_op(M: GroupAlgebraMatrix) -> CentralElement:
     if M.rows != M.cols:
         raise ValueError("reduced norm needs a square matrix")
     values = tuple(linalg.mat_det(wedderburn_block_op(M, i))
-                   for i in range(len(_rep_list(M.group))))
+                   for i in range(len(irreps(M.group))))
     return CentralElement(M.group, values)
 
 
@@ -464,8 +458,10 @@ def adjoint_star(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
     exactly at the characters where the reduced norm vanishes."""
     if M.rows != M.cols:
         raise ValueError("generalized adjoint needs a square matrix")
+    if not M.is_rational():
+        raise ValueError("generalized adjoint is defined here for rational coefficients")
     G = M.group
-    reps = _rep_list(G)
+    reps = irreps(G)
     blocks = []
     for chi, rep in enumerate(reps):
         blk = wedderburn_block(M, chi)
@@ -495,7 +491,7 @@ def hash_involution(x):
 def reduced_rank(G: FiniteGroup, free_rank: int | None = None,
                  cut: int | None = None) -> tuple[int, ...]:
     """Per-character reduced rank of A^k (free_rank=k) or of e_chi A (cut=chi)."""
-    reps = _rep_list(G)
+    reps = irreps(G)
     if (free_rank is None) == (cut is None):
         raise ValueError("specify exactly one of free_rank or cut")
     if free_rank is not None:
@@ -512,7 +508,7 @@ def gam_inverse(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix | None:
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
     blocks = []
-    for chi in range(len(_rep_list(M.group))):
+    for chi in range(len(irreps(M.group))):
         blk = wedderburn_block(M, chi)
         inv = linalg.mat_inverse(blk) if blk else []
         if inv is None:

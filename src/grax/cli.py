@@ -110,9 +110,7 @@ def cmd_adjoint(args):
     M = _matrix_of(args, G)
     star = adjoint_star(M)
     n = nrd(M)
-    ident = GroupAlgebraMatrix.identity(G, M.rows)
-    scaled = GroupAlgebraMatrix.from_entries(
-        G, [[e * n.to_group_algebra() for e in row] for row in ident.entries])
+    scaled = GroupAlgebraMatrix.identity(G, M.rows) * n.to_group_algebra()
     if M * star != scaled or star * M != scaled:
         raise MathFailure("adjoint identity violated", {"matrix": serde.gam_to_json(M)})
     return {"adjoint": serde.gam_to_json(star), "nrd": serde.central_to_json(n)}
@@ -192,16 +190,12 @@ def cmd_rubin(args):
 
 def cmd_det(args):
     G = _group_of(args)
-    if args.op == "free":
+    if args.op in ("free", "tensor"):
         obj = det_free(_matrix_of(args, G, "basis"))
+        if args.op == "tensor":
+            obj = tensor(obj, det_free(_matrix_of(args, G, "basis2")))
         return {"generator": serde.central_to_json(obj.generator_central()),
                 "grading": list(obj.grading)}
-    if args.op == "tensor":
-        X = det_free(_matrix_of(args, G, "basis"))
-        Y = det_free(_matrix_of(args, G, "basis2"))
-        Z = tensor(X, Y)
-        return {"generator": serde.central_to_json(Z.generator_central()),
-                "grading": list(Z.grading)}
     if args.op == "ses":
         iso = ses_iso(_matrix_of(args, G, "theta"),
                       _matrix_of(args, G, "phi"),

@@ -310,6 +310,10 @@ def cyclo_make(n: int, coeffs) -> CycloNum:
     if n < 1:
         raise ValueError("conductor must be positive")
     coeffs = [Fraction(c) for c in coeffs]
+    # phi(n) >= sqrt(n/2), so this n cannot match; refuse it before factoring it
+    # (a conductor up to 20,000 is factored to name the expected count)
+    if n > 2 * max(len(coeffs), 100) ** 2:
+        raise ValueError(f"conductor {n} is too large for {len(coeffs)} coefficients")
     if len(coeffs) != euler_phi(n):
         raise ValueError(
             f"expected {euler_phi(n)} coefficients for conductor {n}, got {len(coeffs)}")

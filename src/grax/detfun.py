@@ -3,8 +3,9 @@ order: determinants of free modules, tensor products with the graded swap
 sign, short-exact-sequence isomorphisms, and reduced norms of assembled
 two-term automorphisms.
 
-Objects are a single generator (the top wedge of a basis, which per
-character is one scalar) together with a per-character integer grading.
+Objects are a single generator (for a free module, the reduced norm of a
+basis: one scalar per character) together with a per-character integer
+grading.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from grax import linalg
 from grax.algebra import (CentralElement, GroupAlgebraMatrix, gam_inverse, nrd,
                           reduced_rank, wedderburn_block)
 from grax.cyclotomic import CycloNum
-from grax.exterior import ExteriorElement, wedge_elements
-from grax.fitting import CentralLattice
 from grax.groups import FiniteGroup
 from grax.reps import irreps
 
@@ -31,8 +30,6 @@ class GradedInvertible:
     group: FiniteGroup
     scalars: tuple[CycloNum, ...]
     grading: tuple[int, ...]
-    wedge: ExteriorElement | None = None
-    xi: CentralLattice | None = None
 
     def __post_init__(self):
         if any(s.is_zero() for s in self.scalars):
@@ -42,22 +39,20 @@ class GradedInvertible:
         return CentralElement(self.group, self.scalars)
 
 
-def unit_object(G: FiniteGroup, xi: CentralLattice | None = None) -> GradedInvertible:
+def unit_object(G: FiniteGroup) -> GradedInvertible:
     n = len(irreps(G))
-    return GradedInvertible(G, (ONE,) * n, (0,) * n, None, xi)
+    return GradedInvertible(G, (ONE,) * n, (0,) * n)
 
 
-def det_free(basis: GroupAlgebraMatrix, xi: CentralLattice | None = None) -> GradedInvertible:
+def det_free(basis: GroupAlgebraMatrix) -> GradedInvertible:
     """Determinant object of a free module with the given basis rows: the
-    lattice generated by the top wedge, graded by the reduced rank."""
-    if basis.rows != basis.cols:
-        raise ValueError("a basis of a free module must be square")
-    G = basis.group
-    w = wedge_elements(basis)
-    scalars = tuple(comp[0] for comp in w.comps)
-    if any(s.is_zero() for s in scalars):
+    top reduced exterior power is free of rank one over the centre, and its
+    generator is the reduced norm of the basis, graded by the reduced rank."""
+    gen = nrd(basis)
+    if gen.has_zero_component():
         raise ValueError("the given rows are not a basis (singular component)")
-    return GradedInvertible(G, scalars, reduced_rank(G, free_rank=basis.rows), w, xi)
+    return GradedInvertible(basis.group, gen.values,
+                            reduced_rank(basis.group, free_rank=basis.rows))
 
 
 def tensor(X: GradedInvertible, Y: GradedInvertible) -> GradedInvertible:
@@ -66,21 +61,24 @@ def tensor(X: GradedInvertible, Y: GradedInvertible) -> GradedInvertible:
     return GradedInvertible(
         X.group,
         tuple(a * b for a, b in zip(X.scalars, Y.scalars)),
-        tuple(a + b for a, b in zip(X.grading, Y.grading)),
-        None, X.xi or Y.xi)
+        tuple(a + b for a, b in zip(X.grading, Y.grading)))
 
 
 def inverse_object(X: GradedInvertible) -> GradedInvertible:
     return GradedInvertible(
         X.group, tuple(s.inverse() for s in X.scalars),
-        tuple(-g for g in X.grading), None, X.xi)
+        tuple(-g for g in X.grading))
+
+
+def _graded_sign(G: FiniteGroup, a_grading, b_grading) -> CentralElement:
+    """The sign (-1)^(a * b) per character."""
+    return CentralElement(G, tuple(CycloNum.from_rational(-1 if (a * b) % 2 else 1)
+                                   for a, b in zip(a_grading, b_grading)))
 
 
 def swap_sign(X: GradedInvertible, Y: GradedInvertible) -> CentralElement:
     """The commutativity-constraint sign (-1)^(grading_X * grading_Y), per character."""
-    values = tuple(CycloNum.from_rational(-1 if (a * b) % 2 else 1)
-                   for a, b in zip(X.grading, Y.grading))
-    return CentralElement(X.group, values)
+    return _graded_sign(X.group, X.grading, Y.grading)
 
 
 @dataclass(frozen=True)
@@ -120,10 +118,7 @@ def ses_iso(theta: GroupAlgebraMatrix, phi: GroupAlgebraMatrix,
             raise ValueError("theta is not injective on a component")
         if linalg.mat_rank(wedderburn_block(phi, chi)) != r3 * c:
             raise ValueError("phi is not surjective on a component")
-    assembled = GroupAlgebraMatrix.from_entries(
-        G, [list(theta.entries[i]) for i in range(r1)]
-           + [list(section.entries[i]) for i in range(r3)])
-    factor = nrd(assembled)
+    factor = nrd(GroupAlgebraMatrix.from_entries(G, theta.entries + section.entries))
     if factor.has_zero_component():
         raise ValueError("assembled basis is singular: sequence is not exact")
     inv_values = tuple(v.inverse() for v in factor.values)
@@ -133,11 +128,8 @@ def ses_iso(theta: GroupAlgebraMatrix, phi: GroupAlgebraMatrix,
 def ses_swap_sign(iso: SesIso) -> CentralElement:
     """The order-swap sign (-1)^(rr(P1) * rr(P3)) per character."""
     G = iso.group
-    rr1 = reduced_rank(G, free_rank=iso.sub_rank)
-    rr3 = reduced_rank(G, free_rank=iso.quot_rank)
-    values = tuple(CycloNum.from_rational(-1 if (a * b) % 2 else 1)
-                   for a, b in zip(rr1, rr3))
-    return CentralElement(G, values)
+    return _graded_sign(G, reduced_rank(G, free_rank=iso.sub_rank),
+                        reduced_rank(G, free_rank=iso.quot_rank))
 
 
 def ses_retraction(theta: GroupAlgebraMatrix, section: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
@@ -145,10 +137,7 @@ def ses_retraction(theta: GroupAlgebraMatrix, section: GroupAlgebraMatrix) -> Gr
     the inverse of the assembled basis matrix."""
     G = theta.group
     r1, r2 = theta.rows, theta.cols
-    assembled = GroupAlgebraMatrix.from_entries(
-        G, [list(theta.entries[i]) for i in range(r1)]
-           + [list(section.entries[i]) for i in range(section.rows)])
-    inv = gam_inverse(assembled)
+    inv = gam_inverse(GroupAlgebraMatrix.from_entries(G, theta.entries + section.entries))
     if inv is None:
         raise ValueError("assembled basis is singular")
     return GroupAlgebraMatrix.from_entries(

@@ -31,6 +31,9 @@ from grax.reps import irreps
 ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
 
+# hom tuples rubin_membership pairs against before it stops with passed-budget
+RUBIN_TUPLES = 2000
+
 
 @functools.lru_cache(maxsize=None)
 def _subsets(n: int, r: int):
@@ -196,12 +199,11 @@ def pair(hw: HomWedge, xe: ExteriorElement):
 
 def standard_basis_matrix(G: FiniteGroup, k: int, indices) -> GroupAlgebraMatrix:
     """Rows b_i of A^k for i in indices (possibly none)."""
-    one, zero = GroupAlgebraElement.one(G), GroupAlgebraElement.zero(G)
     indices = list(indices)
     if not indices:
         return GroupAlgebraMatrix(G, 0, k, ())
-    return GroupAlgebraMatrix.from_entries(
-        G, [[one if j == i else zero for j in range(k)] for i in indices])
+    rows = GroupAlgebraMatrix.identity(G, k).entries
+    return GroupAlgebraMatrix.from_entries(G, [rows[i] for i in indices])
 
 
 def theta_b(xe: ExteriorElement) -> dict[tuple[int, ...], CentralElement]:
@@ -254,10 +256,8 @@ def epsilon_from_matrix(M: GroupAlgebraMatrix) -> ExteriorElement:
     if d_ <= d:
         raise ValueError("kernel element needs strictly more rows than columns")
     r = d_ - d
-    homs = GroupAlgebraMatrix.from_entries(
-        G, [[M.entries[t][i] for t in range(d_)] for i in range(d)])
     top = wedge_elements(standard_basis_matrix(G, d_, range(d_)))
-    hw = wedge_homs(homs)
+    hw = wedge_homs(M.transpose())
     raw = pair(hw, top)
     reps = irreps(G)
     signed = []
@@ -323,7 +323,7 @@ def _dual_homs(G: FiniteGroup, lattice) -> list[GroupAlgebraMatrix]:
 
 
 def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
-                     xi: CentralLattice, budget_tuples: int = 2000) -> Verdict:
+                     xi: CentralLattice) -> Verdict:
     """Decide membership of xe in the Rubin lattice of the module spanned by
     the generator rows, relative to the given order lattice xi.
 
@@ -369,7 +369,7 @@ def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
     checked = 0
     full = True
     for combo in itertools.combinations(range(len(duals)), r):
-        if checked >= budget_tuples:
+        if checked >= RUBIN_TUPLES:
             full = False
             break
         hom_rows = [duals[i].entries[0] for i in combo]

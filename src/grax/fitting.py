@@ -67,13 +67,8 @@ class CentralLattice:
     stable: bool = False
     exact: bool = False
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.group.conjugacy_classes)
-
-    def contains(self, x: CentralElement, p: int | None = None) -> bool:
-        vec = [c * self.denominator for c in x.coords()]
-        return self.lattice.contains(vec, p)
+    def contains(self, x: CentralElement) -> bool:
+        return self.lattice.contains([c * self.denominator for c in x.coords()])
 
     def contains_lattice(self, other: "CentralLattice") -> bool:
         for row in other.lattice.basis:

@@ -13,6 +13,9 @@ import math
 import re
 from dataclasses import dataclass, field
 
+# _finish checks a table in O(order^3) steps, so the catalog stops here
+MAX_ORDER = 200
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -41,14 +44,18 @@ class FiniteGroup:
                    for a in range(self.order) for b in range(self.order))
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return _element_order(self.mul_table, a)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def _element_order(tbl, a: int) -> int:
+    k, x = 1, a
+    while x != 0:
+        x = tbl[x][a]
+        k += 1
+    return k
 
 
 def _finish(name: str, family: str, params: tuple[int, ...], table) -> FiniteGroup:
@@ -71,16 +78,7 @@ def _finish(name: str, family: str, params: tuple[int, ...], table) -> FiniteGro
     inverse = [0] * n
     for a in range(n):
         inverse[a] = next(b for b in range(n) if tbl[a][b] == 0)
-    # element orders and exponent
-    exponent = 1
-    orders = []
-    for a in range(n):
-        k, x = 1, a
-        while x != 0:
-            x = tbl[x][a]
-            k += 1
-        orders.append(k)
-        exponent = exponent * k // math.gcd(exponent, k)
+    exponent = math.lcm(*(_element_order(tbl, a) for a in range(n)))
     # conjugacy classes
     seen = [False] * n
     classes = []
@@ -225,17 +223,17 @@ def group_from_catalog(name: str, params: tuple[int, ...] = ()) -> FiniteGroup:
         raise ValueError(f"unknown catalog group {name!r}")
     if m.group(3) is not None:
         n1, n2 = int(m.group(3)), int(m.group(4))
-        if n1 < 1 or n2 < 1:
-            raise ValueError("cyclic factors must be positive")
+        if n1 < 1 or n2 < 1 or n1 * n2 > MAX_ORDER:
+            raise ValueError(f"cyclic factors must be positive, of product at most {MAX_ORDER}")
         return _finish(f"C{n1}xC{n2}", "CxC", (n1, n2),
                        _product_table(_cyclic_table(n1), _cyclic_table(n2)))
     letter, n = m.group(1).upper(), int(m.group(2))
     if letter == "C":
-        if n < 1:
-            raise ValueError("cyclic order must be positive")
+        if not 1 <= n <= MAX_ORDER:
+            raise ValueError(f"cyclic order must be in 1..{MAX_ORDER}")
         return _finish(f"C{n}", "C", (n,), _cyclic_table(n))
-    if n < 3:
-        raise ValueError("dihedral catalog needs n >= 3")
+    if not 3 <= n <= MAX_ORDER // 2:
+        raise ValueError(f"dihedral catalog needs 3 <= n <= {MAX_ORDER // 2}")
     return _finish(f"D{n}", "D", (n,), _dihedral_table(n))
 
 

@@ -19,7 +19,12 @@ def rat_to_str(q: Fraction) -> str:
 
 
 def str_to_rat(s) -> Fraction:
-    return Fraction(str(s))
+    if not isinstance(s, (str, int)):
+        raise ValueError(f"a rational is a \"p/q\" string or an integer, not {s!r}")
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def cyclo_to_json(x: CycloNum):
@@ -31,7 +36,11 @@ def cyclo_to_json(x: CycloNum):
 def json_to_cyclo(obj) -> CycloNum:
     if isinstance(obj, (str, int)):
         return CycloNum.from_rational(str_to_rat(obj))
-    return cyclo_make(int(obj["n"]), [str_to_rat(c) for c in obj["coeffs"]])
+    if not (isinstance(obj, dict) and type(obj.get("n")) is int
+            and isinstance(obj.get("coeffs"), list)):
+        raise ValueError(f"a cyclotomic number is a rational or {{\"n\": integer, "
+                         f"\"coeffs\": list}}, not {obj!r}")
+    return cyclo_make(obj["n"], [str_to_rat(c) for c in obj["coeffs"]])
 
 
 def group_to_json(G: FiniteGroup):
@@ -42,10 +51,15 @@ def group_to_json(G: FiniteGroup):
 def json_to_group(obj) -> FiniteGroup:
     if isinstance(obj, str):
         return group_from_catalog(obj)
+    params = obj.get("params", []) if isinstance(obj, dict) else None
+    if not (isinstance(params, list) and all(type(p) is int for p in params)
+            and isinstance(obj.get("name"), str)):
+        raise ValueError(f"a group is a catalog name or {{\"name\": string, "
+                         f"\"params\": integers}}, not {obj!r}")
     try:
         return group_from_catalog(obj["name"])
     except ValueError:
-        return group_from_catalog(obj["name"], tuple(obj.get("params", ())))
+        return group_from_catalog(obj["name"], tuple(params))
 
 
 def gae_to_json(x: GroupAlgebraElement):
@@ -54,6 +68,8 @@ def gae_to_json(x: GroupAlgebraElement):
 
 def _group_named(obj, G: FiniteGroup | None) -> FiniteGroup:
     """The group obj names; when G is given, obj must name G or no group."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {obj!r}")
     if G is None:
         return json_to_group(obj["group"])
     if "group" in obj and json_to_group(obj["group"]).name != G.name:
@@ -80,7 +96,10 @@ def gam_to_json(M: GroupAlgebraMatrix):
 
 def json_to_gam(obj, G: FiniteGroup | None = None) -> GroupAlgebraMatrix:
     G = _group_named(obj, G)
-    grid = [[json_to_gae(G, e) for e in row] for row in obj["entries"]]
+    rows = obj.get("entries")
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"matrix entries are a list of rows, not {rows!r}")
+    grid = [[json_to_gae(G, e) for e in row] for row in rows]
     M = GroupAlgebraMatrix.from_entries(G, grid)
     if (obj.get("rows", M.rows), obj.get("cols", M.cols)) != (M.rows, M.cols):
         raise ValueError(f"matrix declares {obj.get('rows')}x{obj.get('cols')} "
@@ -95,6 +114,8 @@ def central_to_json(x: CentralElement):
 
 def json_to_central(obj, G: FiniteGroup | None = None) -> CentralElement:
     G = _group_named(obj, G)
+    if not isinstance(obj.get("values"), list):
+        raise ValueError(f"central values are a list, not {obj.get('values')!r}")
     return CentralElement(G, tuple(json_to_cyclo(v) for v in obj["values"]))
 
 

@@ -1,9 +1,12 @@
 """CLI contract: exit codes, determinism, serialization round-trips."""
 
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grax.algebra import GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cli import main
@@ -164,8 +167,22 @@ def _s3_matrix(entry, **shape):
     (_s3_matrix({"0": "1"}, rows=1, cols=3), "declares 1x3"),
     (_s3_matrix(5), "is a JSON object"),
     (json.dumps({"group": "Q8", "entries": [[{"0": "1", "5": "1"}]]}), "names group 'Q8'"),
+    (json.dumps({"group": "S3", "entries": [5]}), "list of rows"),
+    (json.dumps({"group": "S3", "entries": 5}), "list of rows"),
+    (json.dumps([1]), "JSON object"),
+    (_s3_matrix({"0": [1]}), "cyclotomic number"),
+    (_s3_matrix({"0": 1.5}), "cyclotomic number"),
+    (_s3_matrix({"0": {"n": 4, "coeffs": 5}}), "cyclotomic number"),
+    (json.dumps({"group": ["S3"], "entries": [[{"0": "1"}]]}), "a group is"),
+    (_s3_matrix({"0": "1/0"}), "zero denominator"),
+    (_s3_matrix({"0": {"n": 2.7, "coeffs": ["3"]}}), "cyclotomic number"),
+    (_s3_matrix({"0": {"n": 1000000000000000003, "coeffs": ["1"]}}), "too large"),
+    (json.dumps({"group": "C1000", "entries": [[{"0": "1"}]]}), "cyclic order"),
 ], ids=["negative-label", "label-past-order", "short-coefficients", "rows-disagree",
-        "cols-disagree", "entry-not-object", "other-group"])
+        "cols-disagree", "entry-not-object", "other-group", "row-not-list",
+        "entries-not-list", "top-level-array", "coefficient-list", "coefficient-float",
+        "coeffs-not-list", "group-not-name", "zero-denominator", "float-conductor",
+        "huge-conductor", "huge-group"])
 def test_malformed_matrix_is_usage_error(capsys, matrix, message):
     code, out, err = run_cli(capsys, "nrd", "--group", "S3", "--matrix", matrix)
     assert code == 2
@@ -188,3 +205,42 @@ def test_json_without_group_reads_in_the_cli_group(capsys):
                            json.dumps({"entries": [[{"0": "1", "5": "1"}]]}))
     assert code == 0
     assert json.loads(out)["result"]["values"] == ["2", "0", "0"]
+
+
+_C4_ZETA = {"n": 4, "coeffs": ["0", "1"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["adjoint", "--group", "C4", "--matrix", json.dumps(
+        {"group": "C4", "entries": [[{"0": _C4_ZETA}, {"0": "1"}], [{"1": "1"}, {"0": "2"}]]})],
+    ["det", "--group", "C4", "--op", "free",
+     "--basis", json.dumps({"group": "C4", "entries": [[{"0": _C4_ZETA}]]})],
+], ids=["adjoint", "det-free"])
+def test_non_rational_matrix_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "rational coefficients" in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["C2", "S3", "1/2", "-3", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["group", "entries", "rows", "cols", "n", "coeffs", "name",
+                         "params", "0", "1", "2", "-1"]) | st.text(max_size=3),
+        inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_JSON)
+def test_fuzzed_matrix_json_is_read_or_rejected(doc):
+    # any JSON value, as the whole document or as its entries, is read (0) or
+    # refused as a usage error (2); nothing raises.  "--matrix=" keeps argparse
+    # from taking a value such as -1e+16 for an option.
+    for matrix in (doc, {"group": "C2", "entries": doc}):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["nrd", "--group", "C2", "--matrix=" + json.dumps(matrix)])
+        assert code in (0, 2)

@@ -10,6 +10,7 @@ from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatri
 from grax.detfun import (det_free, inverse_object, ses_iso,
                          ses_retraction, ses_swap_sign, swap_sign, tensor,
                          two_term_nrd, unit_object)
+from grax.exterior import wedge_elements
 from grax.groups import group_from_catalog
 
 
@@ -75,6 +76,16 @@ def test_tensor_grading_adds():
     X = det_free(GroupAlgebraMatrix.identity(G, 1))
     Y = det_free(GroupAlgebraMatrix.identity(G, 2))
     assert tensor(X, Y).grading == tuple(a + b for a, b in zip(X.grading, Y.grading))
+
+
+def test_det_free_is_the_top_wedge_coordinate():
+    # the top reduced exterior power, built independently of nrd
+    rng = random.Random(11)
+    for name in ("C4", "C12", "S3", "D4", "Q8", "A4"):
+        G = group_from_catalog(name)
+        for n in (1, 2):
+            B = rand_invertible(rng, G, n)
+            assert det_free(B).scalars == tuple(comp[0] for comp in wedge_elements(B).comps)
 
 
 def test_det_free_of_direct_sum_is_tensor():

@@ -25,6 +25,8 @@ CASES = {
     "det_ses_d4": ["det", "--group", "D4", "--op", "ses",
                    "--theta", _in("d4_ses_theta.json"), "--phi", _in("d4_ses_phi.json"),
                    "--section", _in("d4_ses_section.json")],
+    "det_tensor_c4": ["det", "--group", "C4", "--op", "tensor", "--basis", _in("c4_2x2.json"),
+                      "--basis2", _in("c4_2x2.json")],
     "det_two_term_s3": ["det", "--group", "S3", "--op", "two-term",
                         "--theta", _in("s3_tt_theta.json"),
                         "--comparison", _in("s3_tt_comparison.json"),

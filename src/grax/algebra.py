@@ -314,7 +314,9 @@ class CentralElement:
     def __post_init__(self):
         if len(self.values) != len(irreps(self.group)):
             raise ValueError("one value per irreducible character required")
-        _assert_galois_consistent(self.group, self.values)
+        defect = galois_defect(self.group, self.values)
+        if defect:
+            raise AssertionError(defect)
 
     @staticmethod
     def one(G: FiniteGroup) -> "CentralElement":
@@ -403,20 +405,24 @@ class CentralElement:
         return f"CentralElement({self.group.name}, {list(self.values)!r})"
 
 
-def _assert_galois_consistent(G: FiniteGroup, values):
+def galois_defect(G: FiniteGroup, values):
+    """Why a tuple of character values is not a central element of Q[G]: a
+    conductor that does not divide the exponent, or a Galois automorphism
+    that does not permute the values as it permutes the characters.  None
+    when the tuple is consistent."""
     e = G.exponent
-    lifted = [v.lift(e) if e % v.n == 0 else v for v in values]
     for v in values:
         if e % v.n:
-            raise AssertionError("central value conductor does not divide the exponent")
+            return "central value conductor does not divide the exponent"
+    lifted = [v.lift(e) for v in values]
     for a in range(2, e):
         if math.gcd(a, e) != 1:
             continue
         perm = galois_permutation(G, a)
         for i in range(len(values)):
             if lifted[i].galois(a) != lifted[perm[i]]:
-                raise AssertionError(
-                    f"Galois consistency fails for sigma_{a} at character {i}")
+                return f"Galois consistency fails for sigma_{a} at character {i}"
+    return None
 
 
 # -- reduced norm, adjoint, involution, reduced rank -------------------------

@@ -129,9 +129,12 @@ def _abelian_image_lattice(G: FiniteGroup) -> CentralLattice:
 
 
 def _small_elements(G: FiniteGroup, budget: Budget):
-    """Integral group-algebra elements with bounded support and height."""
+    """Integral group-algebra elements with bounded support and height, and
+    the size of that family before the candidate budget cut it."""
     out = []
     heights = [h for h in range(-budget.coeff_height, budget.coeff_height + 1) if h]
+    total = sum(math.comb(G.order, size) * len(heights) ** size
+                for size in range(1, budget.support + 1))
     for size in range(1, budget.support + 1):
         for supp in itertools.combinations(range(G.order), size):
             for coeffs in itertools.product(heights, repeat=size):
@@ -140,8 +143,8 @@ def _small_elements(G: FiniteGroup, budget: Budget):
                     vec[g] = c
                 out.append(GroupAlgebraElement.from_coeffs(G, vec))
                 if len(out) >= budget.max_candidates:
-                    return out
-    return out
+                    return out, total
+    return out, total
 
 
 def _small_matrices(G: FiniteGroup, size: int, budget: Budget):
@@ -157,25 +160,82 @@ def _small_matrices(G: FiniteGroup, size: int, budget: Budget):
         yield GroupAlgebraMatrix.from_entries(G, grid)
 
 
+def _monomial_patterns(size: int):
+    """Each zero pattern of a size x size matrix, as (forest, free): the
+    nonzero cells on a spanning forest of the pattern's row-column
+    bipartite graph, and the nonzero cells off it.
+
+    Scaling the rows on the left and the columns on the right by group
+    elements turns every monomial matrix with this pattern into one whose
+    forest cells are 1: set the scale of each tree's root to 1 and
+    propagate along the tree edges.  The cells off the forest stay free.
+    """
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    for mask in itertools.product((False, True), repeat=len(cells)):
+        comp = list(range(2 * size))  # component of each row, then each column
+        forest, free = [], []
+        for (i, j), on in zip(cells, mask):
+            if on:
+                a, b = comp[i], comp[size + j]
+                (free if a == b else forest).append((i, j))
+                comp = [a if c == b else c for c in comp]
+        yield forest, free
+
+
+def _normalised_monomials(G: FiniteGroup, size: int):
+    """Monomial size x size matrices that meet every orbit under row and
+    column scaling by group elements, as grids of group labels (None for
+    0).  An orbit may be met more than once: the free entry of the full 2x2
+    pattern matters only up to conjugacy."""
+    for forest, free in _monomial_patterns(size):
+        for labels in itertools.product(range(G.order), repeat=len(free)):
+            grid = [[None] * size for _ in range(size)]
+            for i, j in forest:
+                grid[i][j] = G.identity
+            for (i, j), g in zip(free, labels):
+                grid[i][j] = g
+            yield grid
+
+
+def _family_label(label: str, tried: int, total: int) -> str:
+    """Provenance of an enumerated family; one cut by the candidate budget
+    says how much of it was tried."""
+    return label if tried >= total else f"{label} (truncated: {tried} of {total} tried)"
+
+
 def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
     """Sound under-approximation of the Whitehead order of Z[G].
 
     Every generator is the reduced norm of an explicit integral matrix;
     the lattice is closed under multiplication by re-generation from its
-    HNF basis until stable or out of rounds.  Abelian groups return the
-    image of Z[G] exactly.
+    HNF basis until stable or out of rounds.  Monomial matrices are
+    enumerated up to diagonal units: for D1, D2 diagonal with group-element
+    entries, nrd(D1 R D2) = nrd(g) nrd(R) with g the product of those
+    entries, so once every nrd(g) is a generator the first closing round
+    recovers each monomial matrix from its normalised representative R.
+    Abelian groups return the image of Z[G] exactly.
     """
     if G.is_abelian():
         return _abelian_image_lattice(G)
-    gens = []
-    prov = []
-    for x in _small_elements(G, budget):
-        gens.append(nrd(GroupAlgebraMatrix.from_entries(G, [[x]])))
-    prov.append(f"1x1 elements: support<={budget.support} height<={budget.coeff_height}")
+    elements, space = _small_elements(G, budget)
+    prov = [_family_label(f"1x1 elements: support<={budget.support} "
+                          f"height<={budget.coeff_height}", len(elements), space)]
+    if budget.max_matrix_size >= 2:
+        # the representatives below stand for their orbits only with every nrd(g)
+        missing = [x for x in (GroupAlgebraElement.basis(G, g) for g in range(G.order))
+                   if x not in elements]
+        if missing:
+            elements += missing
+            prov.append(f"1x1 group elements: {len(missing)}")
+    gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in elements]
+    entry = {None: GroupAlgebraElement.zero(G)}
+    entry.update((g, GroupAlgebraElement.basis(G, g)) for g in range(G.order))
     for size in range(2, budget.max_matrix_size + 1):
-        for M in _small_matrices(G, size, budget):
-            gens.append(nrd(M))
-        prov.append(f"{size}x{size} monomial matrices")
+        space = sum(G.order ** len(free) for _, free in _monomial_patterns(size))
+        grids = list(itertools.islice(_normalised_monomials(G, size), budget.max_candidates))
+        gens += [nrd(GroupAlgebraMatrix.from_entries(G, [[entry[g] for g in row] for row in grid]))
+                 for grid in grids]
+        prov.append(_family_label(f"{size}x{size} monomial matrices", len(grids), space))
     for x in gens:
         if not x.is_integral():
             raise AssertionError("Whitehead generator fails integrality")
@@ -222,7 +282,7 @@ def delta_check(x: CentralElement, G: FiniteGroup,
         M = GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.basis(G, g)]])
         if not _x_star_integral(x, M):
             return Verdict("certified-no", M)
-    for y in _small_elements(G, budget):
+    for y in _small_elements(G, budget)[0]:
         M = GroupAlgebraMatrix.from_entries(G, [[y]])
         if not _x_star_integral(x, M):
             return Verdict("certified-no", M)

@@ -20,12 +20,14 @@ ONE = CycloNum.from_rational(1)
 def _echelon(m, ncols):
     """Forward elimination on the first ncols columns of a copy of m.
 
-    Returns (rows, pivots, swaps): the rows in row-echelon form, the pivot
-    column of each leading row, and the number of row swaps made.  A pivot
-    is inverted only when a nonzero entry lies below it.
+    Returns (rows, pivots, swaps, inverses): the rows in row-echelon form,
+    the pivot column of each leading row, the number of row swaps made, and
+    the inverse of each pivot.  A pivot is inverted only when a nonzero
+    entry lies below it; its inverse is None otherwise.
     """
     a = [list(row) for row in m]
     pivots = []
+    inverses = []
     swaps = 0
     for c in range(ncols):
         r = len(pivots)
@@ -39,13 +41,13 @@ def _echelon(m, ncols):
             swaps += 1
         pr = a[r]
         below = [i for i in range(r + 1, len(a)) if a[i][c]]
-        if below:
-            inv = 1 / pr[c]
-            for i in below:
-                f = a[i][c] * inv
-                a[i] = a[i][:c] + [x - f * y if y else x for x, y in zip(a[i][c:], pr[c:])]
+        inv = 1 / pr[c] if below else None
+        for i in below:
+            f = a[i][c] * inv
+            a[i] = a[i][:c] + [x - f * y if y else x for x, y in zip(a[i][c:], pr[c:])]
         pivots.append(c)
-    return a, pivots, swaps
+        inverses.append(inv)
+    return a, pivots, swaps, inverses
 
 
 def rref(m, ncols):
@@ -55,10 +57,11 @@ def rref(m, ncols):
     Returns (rows, pivots): each of the leading len(pivots) rows has a 1
     in its pivot column and zeros above and below it.
     """
-    a, pivots, _ = _echelon(m, ncols)
+    a, pivots, _, inverses = _echelon(m, ncols)
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
-        inv = 1 / a[r][c]
+        # back-substitution leaves every pivot as elimination found it
+        inv = inverses[r] or 1 / a[r][c]
         a[r] = pr = a[r][:c] + [x * inv if x else x for x in a[r][c:]]
         for i in range(r):
             f = a[i][c]
@@ -91,7 +94,7 @@ def mat_det(m):
     """Determinant of a square matrix: the swap sign times the product of
     the echelon pivots."""
     n = len(m)
-    a, pivots, swaps = _echelon(m, n)
+    a, pivots, swaps, _ = _echelon(m, n)
     if len(pivots) < n:
         return ZERO
     det = -ONE if swaps % 2 else ONE

@@ -3,9 +3,11 @@ numbers as {n, coeffs}, group elements as integer labels."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
+                          galois_defect)
 from grax.cyclotomic import CycloNum, cyclo_make
 from grax.exterior import ExteriorElement
 from grax.fitting import CentralLattice, Verdict
@@ -18,11 +20,19 @@ def rat_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def str_to_rat(s) -> Fraction:
-    if not isinstance(s, (str, int)):
+    """A rational from an integer or a "p/q" string of decimal digits (p
+    optionally signed, "/q" optional).  The form is checked before Fraction
+    reads it, so decimals and exponents never reach it."""
+    if type(s) is int:
+        return Fraction(s)
+    if not (isinstance(s, str) and _RATIONAL.fullmatch(s)):
         raise ValueError(f"a rational is a \"p/q\" string or an integer, not {s!r}")
     try:
-        return Fraction(str(s))
+        return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
 
@@ -116,7 +126,12 @@ def json_to_central(obj, G: FiniteGroup | None = None) -> CentralElement:
     G = _group_named(obj, G)
     if not isinstance(obj.get("values"), list):
         raise ValueError(f"central values are a list, not {obj.get('values')!r}")
-    return CentralElement(G, tuple(json_to_cyclo(v) for v in obj["values"]))
+    values = tuple(json_to_cyclo(v) for v in obj["values"])
+    # CentralElement refuses a wrong count itself, with a ValueError
+    defect = len(values) == len(irreps(G)) and galois_defect(G, values)
+    if defect:
+        raise ValueError(f"not a central element of Q[{G.name}]: {defect}")
+    return CentralElement(G, values)
 
 
 def lattice_to_json(L: CentralLattice):

@@ -178,11 +178,21 @@ def _s3_matrix(entry, **shape):
     (_s3_matrix({"0": {"n": 2.7, "coeffs": ["3"]}}), "cyclotomic number"),
     (_s3_matrix({"0": {"n": 1000000000000000003, "coeffs": ["1"]}}), "too large"),
     (json.dumps({"group": "C1000", "entries": [[{"0": "1"}]]}), "cyclic order"),
+    (_s3_matrix({"0": "1.5"}), '"p/q" string'),
+    (_s3_matrix({"0": " 1_0.5 "}), '"p/q" string'),
+    (_s3_matrix({"0": "1e4000000"}), '"p/q" string'),
+    (_s3_matrix({"0": "+1"}), '"p/q" string'),
+    (_s3_matrix({"0": "1/-2"}), '"p/q" string'),
+    (_s3_matrix({"0": "\u0661"}), '"p/q" string'),
+    (_s3_matrix({"0": {"n": 3, "coeffs": ["1", "0.5"]}}), '"p/q" string'),
+    (_s3_matrix({"0": True}), '"p/q" string'),
 ], ids=["negative-label", "label-past-order", "short-coefficients", "rows-disagree",
         "cols-disagree", "entry-not-object", "other-group", "row-not-list",
         "entries-not-list", "top-level-array", "coefficient-list", "coefficient-float",
         "coeffs-not-list", "group-not-name", "zero-denominator", "float-conductor",
-        "huge-conductor", "huge-group"])
+        "huge-conductor", "huge-group", "decimal-string", "underscore-padded-decimal",
+        "exponent", "plus-sign", "negative-denominator", "non-ascii-digit",
+        "decimal-in-coeffs", "boolean"])
 def test_malformed_matrix_is_usage_error(capsys, matrix, message):
     code, out, err = run_cli(capsys, "nrd", "--group", "S3", "--matrix", matrix)
     assert code == 2
@@ -198,6 +208,20 @@ def test_central_of_other_group_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "names group 'S3'" in err
+
+
+@pytest.mark.parametrize("x, message", [
+    ({"values": ["1", "2", "1"]}, "Galois consistency fails for sigma_2 at character 1"),
+    ({"values": [{"n": 5, "coeffs": ["0", "1", "0", "0"]}, "1", "1"]},
+     "conductor does not divide the exponent"),
+], ids=["galois-inconsistent", "foreign-conductor"])
+def test_inconsistent_central_is_usage_error(capsys, x, message):
+    code, out, err = run_cli(capsys, "annihilate", "--group", "C3",
+                             "--matrix", json.dumps({"entries": [[{"0": "2"}]]}),
+                             "--x", json.dumps(x))
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and message in err
 
 
 def test_json_without_group_reads_in_the_cli_group(capsys):

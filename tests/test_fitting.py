@@ -1,15 +1,16 @@
 """Whitehead-order approximation, denominator ideal, Fitting invariants,
 annihilation: spec examples plus randomized exact comparisons."""
 
+import itertools
 import random
 
 import pytest
 
 from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cyclotomic import CycloNum
-from grax.fitting import (Budget, annihilation_check, delta_check, fit_classical_oracle,
-                          fit_matrix, fit_transpose, hash_lattice, lattice_from_central,
-                          xi_approx)
+from grax.fitting import (Budget, _normalised_monomials, annihilation_check, delta_check,
+                          fit_classical_oracle, fit_matrix, fit_transpose, hash_lattice,
+                          lattice_from_central, xi_approx)
 from grax.groups import group_from_catalog
 from grax.lattices import smith_normal_form
 
@@ -57,6 +58,72 @@ def test_xi_monotone_in_budget():
     small = xi_approx(G, Budget(max_matrix_size=1, support=1))
     big = xi_approx(G, Budget(max_matrix_size=1, support=2))
     assert big.contains_lattice(small)
+
+
+@pytest.mark.parametrize("name, count", [("S3", 21), ("D4", 23), ("Q8", 23)])
+def test_normalised_monomials_meet_every_orbit(name, count):
+    # from the group table alone: the orbits of the representatives under
+    # R -> D1 R D2, D1 = diag(a, b) and D2 = diag(c, d) with group-element
+    # entries, cover the 2x2 matrices with entries in {0} and G
+    G = group_from_catalog(name)
+    reps = list(_normalised_monomials(G, 2))
+    assert len(reps) == count
+
+    def scale(a, x, c):
+        return None if x is None else G.mul(G.mul(a, x), c)
+
+    covered = {(scale(a, R[0][0], c), scale(a, R[0][1], d),
+                scale(b, R[1][0], c), scale(b, R[1][1], d))
+               for R in reps for a, b, c, d in itertools.product(range(G.order), repeat=4)}
+    assert covered == set(itertools.product([None, *range(G.order)], repeat=4))
+
+
+def _closed(G, gens):
+    lat = lattice_from_central(G, gens)
+    while True:
+        els = lat.elements()
+        merged = lattice_from_central(G, els + [x * y for x in els for y in els])
+        if merged == lat:
+            return lat
+        lat = merged
+
+
+def test_xi_s3_equals_closure_of_all_monomial_matrices():
+    G = group_from_catalog("S3")
+    one_by_one = [GroupAlgebraElement.from_coeffs(
+                      G, [dict(zip(supp, cs)).get(g, 0) for g in range(G.order)])
+                  for size in (1, 2)
+                  for supp in itertools.combinations(range(G.order), size)
+                  for cs in itertools.product((-1, 1), repeat=size)]
+    entries = [GroupAlgebraElement.zero(G)] + [
+        GroupAlgebraElement.basis(G, g) for g in range(G.order)]
+    full = [GroupAlgebraMatrix.from_entries(G, [[w, x], [y, z]])
+            for w, x, y, z in itertools.product(entries, repeat=4)]
+    assert len(full) == 2401
+    gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in one_by_one]
+    gens += [nrd(M) for M in full]
+    xi = xi_approx(G)
+    assert xi.stable
+    assert xi == _closed(G, gens)
+
+
+def test_xi_s4_covers_every_representative():
+    G = group_from_catalog("S4")
+    assert len(list(_normalised_monomials(G, 2))) == 39
+    xi = xi_approx(G)
+    assert xi.stable
+    assert xi.provenance == ("1x1 elements: support<=2 height<=1", "2x2 monomial matrices")
+
+
+def test_xi_truncated_budget_reports_counts():
+    G = group_from_catalog("S3")
+    xi = xi_approx(G, Budget(max_candidates=10))
+    # the ten elements tried are -g and g for g = 0..4, so g = 5 is added
+    assert xi.provenance == (
+        "1x1 elements: support<=2 height<=1 (truncated: 10 of 72 tried)",
+        "1x1 group elements: 1",
+        "2x2 monomial matrices (truncated: 10 of 21 tried)")
+    assert xi_approx(G).contains_lattice(xi)
 
 
 def test_delta_abelian_exact():

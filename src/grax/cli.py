@@ -53,12 +53,12 @@ def _load_json_arg(value):
 
 def _budget_from(args) -> Budget:
     base = {}
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        base.update(json.loads(env))
-    if getattr(args, "budget", None):
-        base.update(_load_json_arg(args.budget))
-    return Budget.from_dict(base) if base else Budget()
+    for obj in (json.loads(os.environ.get(BUDGET_ENV) or "{}"),
+                _load_json_arg(args.budget) if args.budget else {}):
+        if not isinstance(obj, dict):
+            raise UsageError(f"a budget is a JSON object, not {obj!r}")
+        base.update(obj)
+    return Budget.from_dict(base)
 
 
 def _group_of(args):
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "Fitting invariants, exterior powers, cyclotomic relations)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, group=True):
+    def common(p, group=True, budget=False):
         if group:
             p.add_argument("--group", required=True, help="catalog name, e.g. S3, C6, D4")
             p.add_argument("--params", type=int, nargs="*", help="family parameters")
@@ -272,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reports")
         p.add_argument("--out", help="also write the report to a file")
-        p.add_argument("--budget", help="JSON budget overrides (or @file)")
+        if budget:
+            p.add_argument("--budget", help="JSON budget overrides (or @file)")
 
     p = sub.add_parser("group", help="catalog group data")
     p.add_argument("--name", required=True)
@@ -293,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_adjoint)
 
     p = sub.add_parser("xi", help="budgeted Whitehead-order lattice")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_xi)
 
     p = sub.add_parser("fit", help="non-commutative Fitting invariant lattice")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--oracle-check", action="store_true",
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("annihilate", help="central annihilation check")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--matrix", required=True)
     p.add_argument("--x", default="order",
                    help="central element JSON, or 'order' for |G| * 1")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_epsilon)
 
     p = sub.add_parser("rubin", help="Rubin-lattice membership verdict")
-    common(p)
+    common(p, budget=True)
     p.add_argument("--element", required=True,
                    help="matrix whose row wedge is tested")
     p.add_argument("--gens", required=True, help="lattice generator rows")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cyclo)
 
     p = sub.add_parser("suite", help="seeded property suites")
-    common(p, group=False)
+    common(p, group=False, budget=True)
     p.add_argument("--name", required=True,
                    help=f"one of {', '.join(SUITES)}, or 'all'")
     p.add_argument("--scale", type=float, default=1.0,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, nrd)
 from grax.groups import FiniteGroup, perm_sign
-from grax.lattices import IntLattice, hnf, smith_normal_form
+from grax.lattices import IntLattice, hnf
 from grax.reps import irreps
 
 
@@ -41,12 +41,12 @@ class Budget:
 
     @staticmethod
     def from_dict(d: dict) -> "Budget":
-        known = {"max_matrix_size", "coeff_height", "support", "rounds",
-                 "max_candidates"}
-        bad = set(d) - known
-        if bad:
-            raise ValueError(f"unknown budget keys: {sorted(bad)}")
-        return Budget(**{k: int(v) for k, v in d.items()})
+        for k, v in d.items():
+            if k not in Budget.__dataclass_fields__:
+                raise ValueError(f"unknown budget key {k!r}")
+            if type(v) is not int or v < 0:
+                raise ValueError(f"budget value {k!r} must be a nonnegative integer, not {v!r}")
+        return Budget(**d)
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,9 @@ class CentralLattice:
         return self.lattice.contains([c * self.denominator for c in x.coords()])
 
     def contains_lattice(self, other: "CentralLattice") -> bool:
-        for row in other.lattice.basis:
-            vec = [Fraction(v, other.denominator) * self.denominator for v in row]
-            if any(x.denominator != 1 for x in vec):
-                return False
-            if not self.lattice.contains([int(x) for x in vec]):
-                return False
-        return True
+        return all(self.lattice.contains([Fraction(v * self.denominator, other.denominator)
+                                          for v in row])
+                   for row in other.lattice.basis)
 
     def elements(self) -> list[CentralElement]:
         """Central elements corresponding to the HNF basis rows."""
@@ -96,17 +92,11 @@ def lattice_from_vectors(G: FiniteGroup, vectors, provenance=(),
                          stable=False, exact=False) -> CentralLattice:
     """Canonical CentralLattice from rational class-sum coordinate vectors."""
     coords = [[Fraction(c) for c in row] for row in vectors]
-    denom = 1
-    for row in coords:
-        for c in row:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = math.lcm(1, *(c.denominator for row in coords for c in row))
     rows = [[int(c * denom) for c in row] for row in coords]
     lat = hnf(rows, len(G.conjugacy_classes))
     # minimal denominator: divide out any common factor shared with all entries
-    g = denom
-    for row in lat.basis:
-        for v in row:
-            g = math.gcd(g, v)
+    g = math.gcd(denom, *(v for row in lat.basis for v in row))
     if g > 1:
         lat = IntLattice(lat.ambient_rank,
                          tuple(tuple(v // g for v in row) for row in lat.basis))
@@ -503,19 +493,14 @@ def annihilation_check(M: GroupAlgebraMatrix, x: CentralElement) -> bool:
     y = (x * n).to_group_algebra()
     if not y.is_integral():
         raise ValueError("x * nrd(M) is not integral")
-    image_rows = regular_int_rows(M)
-    # column space of A = image of theta; SNF membership test for each
-    # h * y e_j, a row of the regular representation of y I (y is central)
-    size = len(image_rows)
-    A = [[image_rows[c][r] for c in range(size)] for r in range(size)]
-    invariants, U, V = smith_normal_form(A)
-    for target in regular_int_rows(GroupAlgebraMatrix.identity(G, M.rows) * y):
-        w = [sum(U[r][s] * target[s] for s in range(size)) for r in range(size)]
-        for r in range(size):
-            dr = invariants[r] if r < len(invariants) else 0
-            if dr == 0:
-                if w[r] != 0:
-                    return False
-            elif w[r] % dr:
-                return False
-    return True
+    # The image of x -> x*M has index D = |det| = |prod_chi nrd_chi(M)^chi(1)|,
+    # so it holds D*Z^N: with D*I rows first, its HNF runs modular throughout.
+    D = abs(int(math.prod(v ** r.degree for r, v in zip(irreps(G), n.values)).as_rational()))
+    size = M.rows * G.order
+    image = hnf([[D * (i == j) for j in range(size)] for i in range(size)]
+                + regular_int_rows(M), size)
+    if math.prod(row[i] for i, row in enumerate(image.basis)) != D:
+        raise AssertionError("the image index is not |det| of the regular representation")
+    # each target h * y e_j is a row of the regular representation of y I
+    return all(image.contains(t)
+               for t in regular_int_rows(GroupAlgebraMatrix.identity(G, M.rows) * y))

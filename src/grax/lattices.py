@@ -3,12 +3,16 @@
 The HNF convention is: basis rows sorted by pivot column, positive pivots,
 entries above each pivot reduced into [0, pivot).  This makes the basis a
 canonical form, so lattice equality is basis equality.
+
+A full-rank basis with pivot product d spans a lattice of index d, which
+holds d * Z^n, so its off-pivot entries are kept modulo d (Domich, Kannan
+and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Alg. 2.4.8).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _xgcd(a: int, b: int):
@@ -29,12 +33,27 @@ def _pivot(row) -> int:
     return next(j for j, v in enumerate(row) if v)
 
 
+def _index(basis: list[list[int]], ncols: int) -> int:
+    """Pivot product of a full-rank basis (row i has pivot i), else 0."""
+    if len(basis) < ncols:
+        return 0
+    return math.prod(row[i] for i, row in enumerate(basis))
+
+
+def _mod_from(row: list[int], j: int, d: int) -> list[int]:
+    """row with its entries from column j on reduced into [0, d)."""
+    return row[:j] + [v % d for v in row[j:]]
+
+
 def _insert(basis: list[list[int]], vec: list[int]):
     ncols = len(vec)
+    d = _index(basis, ncols)
     for j in range(ncols):
+        if d:
+            vec = _mod_from(vec, j, d)
         if not vec[j]:
             continue
-        row = next((r for r in basis if _pivot(r) == j), None)
+        row = basis[j] if d else next((r for r in basis if _pivot(r) == j), None)
         if row is None:
             if vec[j] < 0:
                 vec = [-v for v in vec]
@@ -49,13 +68,17 @@ def _insert(basis: list[list[int]], vec: list[int]):
             x, y, g = _xgcd(a, b)
             new_row = [x * r + y * v for r, v in zip(row, vec)]
             vec = [(a // g) * v - (b // g) * r for v, r in zip(vec, row)]
+            if d:
+                d = d // a * g
+                new_row = _mod_from(new_row, j + 1, d)
             row[:] = new_row
 
 
-def _reduce_above(basis: list[list[int]]):
+def _reduce_above(basis: list[list[int]], ncols: int):
     # Left-to-right: reducing with row i only touches columns >= pivot(i),
     # so earlier pivot columns stay reduced.
     basis.sort(key=_pivot)
+    d = _index(basis, ncols)
     for i in range(len(basis)):
         j = _pivot(basis[i])
         p = basis[i][j]
@@ -63,6 +86,8 @@ def _reduce_above(basis: list[list[int]]):
             q = basis[k][j] // p
             if q:
                 basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+                if d:
+                    basis[k] = _mod_from(basis[k], k + 1, d)
 
 
 @dataclass(frozen=True)
@@ -76,33 +101,20 @@ class IntLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def coefficients_of(self, vec):
-        """Rational coefficients expressing vec over the basis rows, or None."""
-        vec = [Fraction(v) for v in vec]
+    def contains(self, vec) -> bool:
+        """Membership by integer back-substitution down the triangular basis:
+        a remainder left at a pivot column, or a non-integral entry, means no."""
         if len(vec) != self.ambient_rank:
             raise ValueError("ambient rank mismatch")
-        coeffs = []
-        for row in self.basis:
-            c = vec[_pivot(row)] / row[_pivot(row)]
-            coeffs.append(c)
-            if c:
-                vec = [v - c * r for v, r in zip(vec, row)]
-        if any(vec):
-            return None
-        return coeffs
-
-    def contains(self, vec, p: int | None = None) -> bool:
-        """Membership test; with p given, denominators coprime to p are ignored.
-
-        The p-local variant decides membership in the localization at p: a
-        rational combination whose denominators are prime to p counts as in.
-        """
-        coeffs = self.coefficients_of(vec)
-        if coeffs is None:
+        ints = [int(v) for v in vec]
+        if ints != list(vec):
             return False
-        if p is None:
-            return all(c.denominator == 1 for c in coeffs)
-        return all(c.denominator % p != 0 for c in coeffs)
+        for row in self.basis:
+            j = _pivot(row)
+            q = ints[j] // row[j]
+            if q:
+                ints = [v - q * b for v, b in zip(ints, row)]
+        return not any(ints)
 
 
 def hnf(generators, ambient_rank: int | None = None) -> IntLattice:
@@ -116,7 +128,7 @@ def hnf(generators, ambient_rank: int | None = None) -> IntLattice:
             raise ValueError("generators must share one ambient rank")
         if any(g):
             _insert(basis, list(g))
-    _reduce_above(basis)
+    _reduce_above(basis, ambient_rank)
     return IntLattice(ambient_rank, tuple(tuple(r) for r in basis))
 
 

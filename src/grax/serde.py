@@ -21,6 +21,7 @@ def rat_to_str(q: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_LABEL = re.compile(r"0|[1-9][0-9]*")
 
 
 def str_to_rat(s) -> Fraction:
@@ -92,10 +93,10 @@ def json_to_gae(G: FiniteGroup, obj) -> GroupAlgebraElement:
         raise ValueError(f"a group-algebra element is a JSON object, not {obj!r}")
     coeffs = [CycloNum.from_rational(0)] * G.order
     for k, v in obj.items():
-        g = int(k)
-        if not 0 <= g < G.order:
-            raise ValueError(f"group label {k!r} is outside 0..{G.order - 1} for {G.name}")
-        coeffs[g] = json_to_cyclo(v)
+        if not (_LABEL.fullmatch(k) and int(k) < G.order):
+            raise ValueError(f"group label {k!r} is outside 0..{G.order - 1} for {G.name} "
+                             f"(labels are decimal digits, no leading zeros)")
+        coeffs[int(k)] = json_to_cyclo(v)
     return GroupAlgebraElement.from_coeffs(G, coeffs)
 
 

@@ -145,6 +145,55 @@ def test_budget_env_var(capsys, monkeypatch):
     assert len(doc["result"]["provenance"]) == 1  # no 2x2 pass under the env budget
 
 
+@pytest.mark.parametrize("budget, key", [
+    ({"max_candidates": 2.9, "rounds": 1.5}, "max_candidates"),
+    ({"max_matrix_size": True}, "max_matrix_size"),
+    ({"max_candidates": -1}, "max_candidates"),
+    ({"support": "2"}, "support"),
+], ids=["floats", "boolean", "negative", "string"])
+def test_budget_values_are_nonnegative_integers(capsys, monkeypatch, budget, key):
+    monkeypatch.delenv("GRAX_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "xi", "--group", "S3", "--budget", json.dumps(budget))
+    assert code == 2
+    assert out == ""
+    assert f"budget value {key!r}" in err
+    monkeypatch.setenv("GRAX_BUDGET", json.dumps(budget))
+    code, out, err = run_cli(capsys, "xi", "--group", "S3")
+    assert code == 2 and f"budget value {key!r}" in err
+
+
+_S3_ONE = json.dumps({"entries": [[{"0": "1"}]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["nrd", "--group", "S3", "--matrix", _S3_ONE],
+    ["adjoint", "--group", "S3", "--matrix", _S3_ONE],
+    ["wedge", "--group", "S3", "--elements", _S3_ONE],
+    ["pair", "--group", "S3", "--homs", _S3_ONE, "--elements", _S3_ONE],
+    ["epsilon", "--group", "S3", "--matrix", _S3_ONE],
+    ["det", "--group", "S3", "--op", "free", "--basis", _S3_ONE],
+    ["cyclo", "--f", "7", "--ell", "3"],
+], ids=lambda argv: argv[0])
+def test_budget_flag_only_where_a_budget_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", '{"bogus": 1}'])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["1_0", " 3", "+3", "\u0663", "3 ", "03"],
+                         ids=["underscore", "leading-space", "plus-sign", "non-ascii-digit",
+                              "trailing-space", "leading-zero"])
+def test_group_label_is_decimal_digits(capsys, label):
+    # int() reads each of these as a label of C12; with a leading zero,
+    # {"3": .., "03": ..} would name one label twice
+    code, out, err = run_cli(capsys, "nrd", "--group", "C12", "--matrix",
+                             json.dumps({"entries": [[{label: "1"}]]}))
+    assert code == 2
+    assert out == ""
+    assert "labels are decimal digits" in err
+
+
 def test_cyclo_coefficient_count_is_checked():
     # one coefficient for conductor 5 used to give a value printing as 1
     # that compared unequal to 1

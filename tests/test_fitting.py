@@ -2,17 +2,20 @@
 annihilation: spec examples plus randomized exact comparisons."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cyclotomic import CycloNum
 from grax.fitting import (Budget, _normalised_monomials, annihilation_check, delta_check,
                           fit_classical_oracle, fit_matrix, fit_transpose, hash_lattice,
-                          lattice_from_central, xi_approx)
+                          lattice_from_central, regular_int_rows, xi_approx)
 from grax.groups import group_from_catalog
-from grax.lattices import smith_normal_form
+from grax.lattices import hnf, smith_normal_form
+from grax.reps import irreps
 
 
 def rand_gam(rng, G, r, c, h=3):
@@ -285,3 +288,82 @@ def test_annihilation_preconditions():
         G, [[GroupAlgebraElement.from_coeffs(G, [2, 1])]])
     with pytest.raises(ValueError):
         annihilation_check(M, CentralElement.from_rational(G, "1/5"))
+
+
+def _bareiss_det(A):
+    """Fraction-free integer elimination (Bareiss, Math. Comp. 22, 1968)."""
+    A = [list(r) for r in A]
+    n = len(A)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not A[k][k]:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def _nonsingular_input(name, d, seed):
+    """A d x d matrix over Z[G] with entries in {0, +-1, 2} and no zero nrd component."""
+    rng = random.Random(seed)
+    G = group_from_catalog(name)
+    while True:
+        M = GroupAlgebraMatrix.from_entries(
+            G, [[GroupAlgebraElement.from_coeffs(
+                    G, [rng.choice([0, 0, 1, -1, 2]) for _ in range(G.order)])
+                 for _ in range(d)] for _ in range(d)])
+        if not nrd(M).has_zero_component():
+            return M
+
+
+@pytest.mark.parametrize("name, d, seed", [("A4", 3, 1), ("A4", 3, 2), ("A4", 3, 3),
+                                           ("S4", 2, 1)])
+def test_annihilation_on_large_regular_representations(name, d, seed):
+    # 36 x 36 and 48 x 48 integer matrices, where the transform-carrying
+    # Smith form did not finish within a minute
+    M = _nonsingular_input(name, d, seed)
+    G = M.group
+    rows = regular_int_rows(M)
+    size = len(rows)
+    D = abs(_bareiss_det(rows))
+    image = hnf([[D * (i == j) for j in range(size)] for i in range(size)] + rows, size)
+    # the image has index D, so adding D * Z^N does not enlarge it
+    assert math.prod(image.basis[i][i] for i in range(size)) == D
+    assert all(image.contains(r) for r in rows)
+    assert annihilation_check(M, CentralElement.from_rational(G, G.order))
+
+
+def test_annihilation_can_fail():
+    # nrd(M) is integral here but does not annihilate the cokernel; the
+    # Smith-form path gave the same verdict
+    G = group_from_catalog("S3")
+    M = GroupAlgebraMatrix.from_entries(
+        G, [[GroupAlgebraElement.from_coeffs(G, [0, -2, 0, 2, 1, 2])]])
+    assert nrd(M).to_group_algebra().is_integral()
+    assert not annihilation_check(M, CentralElement.one(G))
+    assert annihilation_check(M, CentralElement.from_rational(G, G.order))
+
+
+CATALOG_TO_24 = ([f"C{n}" for n in range(1, 25)] + [f"D{n}" for n in range(3, 13)]
+                 + [f"C{a}xC{b}" for a in range(2, 5) for b in range(a, 24 // a + 1)]
+                 + ["S3", "S4", "A4", "Q8"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CATALOG_TO_24), st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_regular_determinant_is_product_of_reduced_norms(name, d, seed):
+    # det_Q(x -> xM on Q[G]^d) = prod_chi nrd_chi(M)^chi(1), the index that
+    # annihilation_check's modular HNF relies on; the left side uses only the
+    # group table and integer elimination
+    rng = random.Random(seed)
+    G = group_from_catalog(name)
+    M = rand_gam(rng, G, d, d, 2)
+    norm = math.prod(v ** rep.degree for rep, v in zip(irreps(G), nrd(M).values))
+    assert norm.is_rational()
+    assert abs(_bareiss_det(regular_int_rows(M))) == abs(norm.as_rational())

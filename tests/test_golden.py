@@ -42,6 +42,8 @@ CASES = {
     "cyclo_f7_l3": ["cyclo", "--f", "7", "--ell", "3"],
     "suite_nrd_props": ["suite", "--name", "nrd-props", "--scale", "0.1"],
     "xi_q8": ["xi", "--group", "Q8", "--budget", '{"max_candidates": 2000}'],
+    "annihilate_s3": ["annihilate", "--group", "S3", "--matrix", _in("s3_2x2.json"),
+                      "--x", "order"],
 }
 
 

@@ -1,8 +1,13 @@
 """Hermite and Smith normal forms: spec examples and canonicity properties."""
 
+import itertools
+import math
+import random
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
-from grax.lattices import hnf, smith_normal_form
+from grax.lattices import _insert, hnf, smith_normal_form
 
 
 def test_hnf_diagonal_input():
@@ -25,9 +30,6 @@ def test_membership_and_local_membership():
     L = hnf([[2, 0], [0, 3]])
     assert L.contains([2, 3])
     assert not L.contains([1, 0])
-    # 1 = (1/2) * 2: denominator 2 is prime to 3, so 3-locally inside
-    assert L.contains([1, 0], p=3)
-    assert not L.contains([1, 0], p=2)
 
 
 def test_snf_diag_2_3():
@@ -94,3 +96,66 @@ def test_hnf_canonical_under_order_and_duplication(gens, rnd):
     rnd.shuffle(shuffled)
     assert hnf(shuffled) == L1
     assert hnf([list(r) for r in L1.basis], 3) == L1
+
+
+def _laplace_det(A):
+    if not A:
+        return 1
+    return sum((-1) ** j * A[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in A[1:]])
+               for j in range(len(A)) if A[0][j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                       min_size=n, max_size=n + 4)))
+def test_hnf_holds_generators_and_pivot_product_is_minor_gcd(gens):
+    # rows beyond the first full-rank set are inserted modulo the pivot product
+    n = len(gens[0])
+    L = hnf(gens)
+    assert all(L.contains(g) for g in gens)
+    g = 0
+    for rows in itertools.combinations(gens, n):
+        g = math.gcd(g, _laplace_det(list(rows)))
+    if g == 0:
+        assert L.rank < n
+    else:
+        assert L.rank == n
+        assert math.prod(L.basis[i][i] for i in range(n)) == g
+
+
+def _rational_member(basis, vec):
+    """Rational back-substitution: the coefficients over the basis rows must
+    exist and be integers."""
+    vec = [Fraction(v) for v in vec]
+    coeffs = []
+    for row in basis:
+        j = next(k for k, v in enumerate(row) if v)
+        c = vec[j] / row[j]
+        coeffs.append(c)
+        vec = [v - c * r for v, r in zip(vec, row)]
+    return not any(vec) and all(c.denominator == 1 for c in coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), min_size=1, max_size=5),
+       st.lists(st.integers(-4, 4), min_size=5, max_size=5),
+       st.integers(1, 3),
+       st.one_of(st.just([0, 0, 0]),
+                 st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
+def test_contains_agrees_with_rational_back_substitution(gens, coeffs, divisor, noise):
+    L = hnf(gens)
+    combo = [sum(c * g[k] for c, g in zip(coeffs, gens)) + noise[k] for k in range(3)]
+    vec = combo if divisor == 1 else [Fraction(v, divisor) for v in combo]
+    assert L.contains(vec) == _rational_member(L.basis, vec)
+
+
+def test_full_rank_insertion_keeps_entries_below_the_index():
+    # once the basis has full rank, inserted vectors and rewritten rows are
+    # reduced modulo the pivot product, so no entry outgrows the first one
+    rng = random.Random(3)
+    n, D = 6, 2 ** 4 * 3 ** 3 * 5
+    basis = [[D * (i == j) for j in range(n)] for i in range(n)]
+    for _ in range(20):
+        _insert(basis, [rng.randrange(-10 ** 40, 10 ** 40) for _ in range(n)])
+        assert all(0 <= v < D ** n for i, row in enumerate(basis) for v in row[i + 1:])

@@ -106,8 +106,7 @@ class GroupAlgebraElement:
         return all(c.is_rational() for c in self.coeffs)
 
     def is_integral(self) -> bool:
-        return all(c.is_rational() and c.as_rational().denominator == 1
-                   for c in self.coeffs)
+        return all(c.is_integral() and c.is_rational() for c in self.coeffs)
 
     def _check(self, other):
         if not isinstance(other, GroupAlgebraElement) or other.group is not self.group:

@@ -1,11 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
 Elements are stored as coordinate vectors in the power basis
-1, zeta_n, ..., zeta_n^(phi(n)-1) modulo the n-th cyclotomic polynomial,
-with Fraction coefficients.  Equality across conductors goes through the
-compatible system zeta_m = zeta_n^(n/m) for m | n, so mixed-conductor
-arithmetic is well defined.  Inversion and descent solve a linear system
-over Q on the elimination kernel in `grax.linalg`.
+1, zeta_n, ..., zeta_n^(phi(n)-1) modulo the n-th cyclotomic polynomial:
+one integer vector `num` over one positive denominator `den`, the
+representation of FLINT's fmpq_poly and Antic's nf_elem.  The pair is kept
+canonical (gcd(den, *num) == 1, and zero is (0, ..., 0)/1), so within one
+conductor equality is tuple equality.  Equality across conductors goes
+through the compatible system zeta_m = zeta_n^(n/m) for m | n, so
+mixed-conductor arithmetic is well defined.  Arithmetic runs on ints and
+normalises each result with one gcd; `coeffs` is a Fraction view for
+serialisation.  Inversion and descent solve a linear system over Q on the
+elimination kernel in `grax.linalg`.
 """
 
 from __future__ import annotations
@@ -13,9 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(n: int) -> int:
@@ -69,66 +71,103 @@ def _poly_divide_exact(num, den):
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows r_k = coordinates of zeta_n^(phi(n)+k) in the power basis, for
-    every exponent the package reduces: below max(n, 2*phi(n) - 1).
+    every exponent the package reduces: below max(n, 2*phi(n) - 1).  Phi_n
+    is monic, so the rows are integral.
 
     Built whole on first use and never mutated, so concurrent readers
     share it safely.
     """
     d = euler_phi(n)
     # zeta^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1))
-    base = tuple(Fraction(-c) for c in cyclotomic_polynomial(n)[:d])
+    base = tuple(-c for c in cyclotomic_polynomial(n)[:d])
     rows = [base]
     for _ in range(max(n, 2 * d - 1) - d - 1):
         prev = rows[-1]
-        shifted = [_ZERO] + list(prev[:-1])
         top = prev[-1]
+        shifted = (0,) + prev[:-1]
         if top:
-            shifted = [shifted[i] + top * base[i] for i in range(d)]
-        rows.append(tuple(shifted))
+            shifted = tuple(x + top * b for x, b in zip(shifted, base))
+        rows.append(shifted)
     return tuple(rows)
 
 
-def _reduce_poly(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Reduce a low-first coefficient list modulo Phi_n to length phi(n)."""
+def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
+    """Reduce a low-first integer coefficient list modulo Phi_n to length phi(n)."""
     d = euler_phi(n)
     if len(coeffs) <= d:
-        return coeffs + [_ZERO] * (d - len(coeffs))
+        return coeffs + [0] * (d - len(coeffs))
     rows = _reduction_rows(n)
-    out = list(coeffs[:d])
+    out = coeffs[:d]
     for k in range(d, len(coeffs)):
         c = coeffs[k]
-        if not c:
-            continue
-        row = rows[k - d]
-        for i in range(d):
-            if row[i]:
-                out[i] += c * row[i]
+        if c:
+            for i, r in enumerate(rows[k - d]):
+                if r:
+                    out[i] += c * r
     return out
 
 
+def _canonical(n: int, num, den: int) -> "CycloNum":
+    """The element num/den (den nonzero) with the common content and the sign
+    of den divided out."""
+    if den == 1:
+        return CycloNum(n, num)
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CycloNum(n, num, den)
+
+
+def _from_fractions(n: int, coeffs, den: int = 1) -> "CycloNum":
+    """The element sum(coeffs[i] * zeta_n^i) / den for Fraction coordinates."""
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return _canonical(n, [c.numerator * (common // c.denominator) for c in coeffs],
+                      common * den)
+
+
 class CycloNum:
-    """An element of Q(zeta_n), exact coefficients in the power basis mod Phi_n."""
+    """An element of Q(zeta_n): the power-basis coordinates num/den mod Phi_n.
 
-    __slots__ = ("n", "coeffs")
+    The constructor takes the pair as given; every operation hands it a
+    canonical one.
+    """
 
-    def __init__(self, n: int, coeffs):
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, n: int, num, den: int = 1):
         self.n = n
-        self.coeffs = tuple(coeffs)
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions, built on each read;
+        arithmetic reads `num` and `den`."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(q) -> "CycloNum":
-        return CycloNum(1, (Fraction(q),))
+        if type(q) is int:
+            return CycloNum(1, (q,))
+        q = Fraction(q)
+        return CycloNum(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "CycloNum":
         power %= n
-        coeffs = [_ZERO] * n
-        coeffs[power] = _ONE
-        return CycloNum(n, _reduce_poly(coeffs, n))
+        d = euler_phi(n)
+        if power >= d:
+            return CycloNum(n, _reduction_rows(n)[power - d])
+        num = [0] * d
+        num[power] = 1
+        return CycloNum(n, num)
 
     # -- structure ----------------------------------------------------
 
@@ -139,29 +178,28 @@ class CycloNum:
         if m % self.n:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
         step = m // self.n
-        out = [_ZERO] * ((len(self.coeffs) - 1) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[k * step] += c
-        return CycloNum(m, _reduce_poly(out, m))
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        for k, c in enumerate(self.num):
+            out[k * step] = c
+        return _canonical(m, _reduce_poly(out, m), self.den)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
         """Whether the element lies in Z[zeta_n] (an integral basis)."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -175,80 +213,90 @@ class CycloNum:
         m = self.n * other.n // math.gcd(self.n, other.n)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
-        if isinstance(other, CycloNum):
-            if self.n == 1 and not self.coeffs[0]:
-                return other
-            if other.n == 1 and not other.coeffs[0]:
-                return self
+    def _add(self, other, sign: int):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CycloNum(a.n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if a.den == b.den:
+            return _canonical(a.n, [x + sign * y for x, y in zip(a.num, b.num)], a.den)
+        return _canonical(a.n, [x * b.den + sign * y * a.den for x, y in zip(a.num, b.num)],
+                          a.den * b.den)
+
+    def __add__(self, other):
+        if isinstance(other, CycloNum):
+            if self.n == 1 and not self.num[0]:
+                return other
+            if other.n == 1 and not other.num[0]:
+                return self
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.n, tuple(-x for x in self.coeffs))
+        return CycloNum(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return CycloNum(a.n, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, p: int, q: int) -> "CycloNum":
+        """self * p / q for integers p and q != 0."""
+        return _canonical(self.n, [c * p for c in self.num], self.den * q)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNum(self.n, tuple(c * q for c in self.coeffs))
         if isinstance(other, CycloNum):
             if self.n == 1:
-                return other * self.coeffs[0]
+                return other._scale(self.num[0], self.den)
             if other.n == 1:
-                return self * other.coeffs[0]
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        d = len(a.coeffs)
-        prod = [_ZERO] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    prod[i + j] += x * y
-        return CycloNum(a.n, _reduce_poly(prod, a.n))
+                return self._scale(other.num[0], other.den)
+            a, b = self._pair(other)
+            prod = [0] * (2 * len(a.num) - 1)
+            for i, x in enumerate(a.num):
+                if x:
+                    for j, y in enumerate(b.num):
+                        if y:
+                            prod[i + j] += x * y
+            return _canonical(a.n, _reduce_poly(prod, a.n), a.den * b.den)
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse: solve self * x = 1 for the coordinates of x.
+        """Multiplicative inverse: solve num * y = 1 for the coordinates of
+        y, so that den * y is the inverse.
 
-        Column k of the phi(n) x phi(n) system holds self * zeta^k, built
+        Column k of the phi(n) x phi(n) system holds num * zeta^k, built
         from column k - 1 by one shift and one fold of zeta^phi(n)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        d = len(self.num)
+        if self.is_rational():
+            return _canonical(self.n, [self.den] + [0] * (d - 1), self.num[0])
         from grax.linalg import rref
 
-        d = euler_phi(self.n)
         zeta_d = _reduction_rows(self.n)[0]
-        cols = [list(self.coeffs)]
+        cols = [list(self.num)]
         for _ in range(d - 1):
-            top, col = cols[-1][-1], [_ZERO] + cols[-1][:-1]
-            cols.append([x + top * z if z else x for x, z in zip(col, zeta_d)] if top else col)
-        rows, pivots = rref([[col[i] for col in cols] + [_ONE if i == 0 else _ZERO]
+            top, col = cols[-1][-1], [0] + cols[-1][:-1]
+            cols.append([x + top * z for x, z in zip(col, zeta_d)] if top else col)
+        rows, pivots = rref([[Fraction(col[i]) for col in cols] + [Fraction(i == 0)]
                              for i in range(d)], d)
         if len(pivots) < d:
             raise ArithmeticError("multiplication by a nonzero element is singular")
-        return CycloNum(self.n, [row[d] for row in rows])
+        return _from_fractions(self.n, [row[d] * self.den for row in rows])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division of a cyclotomic number by zero")
             q = Fraction(other)
-            return CycloNum(self.n, tuple(c / q for c in self.coeffs))
+            return self._scale(q.denominator, q.numerator)
         if isinstance(other, CycloNum):
             return self * other.inverse()
         return NotImplemented
@@ -277,11 +325,10 @@ class CycloNum:
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {self.n}")
         n = self.n
-        out = [_ZERO] * n
-        for k, c in enumerate(self.coeffs):
-            if c:
-                out[(a * k) % n] += c
-        return CycloNum(n, _reduce_poly(out, n))
+        out = [0] * n
+        for k, c in enumerate(self.num):
+            out[(a * k) % n] = c
+        return _canonical(n, _reduce_poly(out, n), self.den)
 
     # -- comparison ------------------------------------------------------
 
@@ -291,7 +338,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     # Equality is conductor-independent but the coefficient tuple is not,
     # so no hash is representation-safe without a normalization pass.
@@ -299,7 +346,7 @@ class CycloNum:
 
     def __repr__(self):
         if self.is_rational():
-            return f"CycloNum({self.coeffs[0]})"
+            return f"CycloNum({self.as_rational()})"
         return f"CycloNum(n={self.n}, coeffs={[str(c) for c in self.coeffs]})"
 
 
@@ -317,7 +364,7 @@ def cyclo_make(n: int, coeffs) -> CycloNum:
     if len(coeffs) != euler_phi(n):
         raise ValueError(
             f"expected {euler_phi(n)} coefficients for conductor {n}, got {len(coeffs)}")
-    return CycloNum(n, coeffs)
+    return _from_fractions(n, coeffs)
 
 
 def cyclo_inverse(x: CycloNum) -> CycloNum:
@@ -355,14 +402,16 @@ def descend(x: CycloNum, m: int):
         if a % m == 1 and math.gcd(a, n) == 1:
             if x.galois(a) != x:
                 return NotInSubfield(a)
-    # Fixed by Gal(Q(zeta_n)/Q(zeta_m)): solve for coordinates in the
-    # power basis of zeta_m = zeta_n^(n/m).  That basis is independent, so
-    # the pivots of the reduced system are its first euler_phi(m) columns.
+    # Fixed by Gal(Q(zeta_n)/Q(zeta_m)): solve basis * y = num for the
+    # coordinates y of den * x in the power basis of zeta_m = zeta_n^(n/m).
+    # That basis is independent, so the pivots of the reduced system are its
+    # first euler_phi(m) columns.
     from grax.linalg import rref
 
     dm = euler_phi(m)
-    basis = [CycloNum.zeta(m, k).lift(n) for k in range(dm)]
-    rows, _ = rref([[b.coeffs[i] for b in basis] + [c] for i, c in enumerate(x.coeffs)], dm)
+    basis = [CycloNum.zeta(m, k).lift(n).num for k in range(dm)]
+    rows, _ = rref([[Fraction(b[i]) for b in basis] + [Fraction(c)]
+                    for i, c in enumerate(x.num)], dm)
     if any(row[dm] for row in rows[dm:]):
         raise ArithmeticError("descent solve failed for a Galois-fixed element")
-    return CycloNum(m, [row[dm] for row in rows[:dm]])
+    return _from_fractions(m, [row[dm] for row in rows[:dm]], x.den)

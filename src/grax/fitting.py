@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, nrd)
+from grax.cyclotomic import CycloNum
 from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf
 from grax.reps import irreps
@@ -93,7 +94,14 @@ def lattice_from_vectors(G: FiniteGroup, vectors, provenance=(),
     """Canonical CentralLattice from rational class-sum coordinate vectors."""
     coords = [[Fraction(c) for c in row] for row in vectors]
     denom = math.lcm(1, *(c.denominator for row in coords for c in row))
-    rows = [[int(c * denom) for c in row] for row in coords]
+    rows = [[c.numerator * (denom // c.denominator) for c in row] for row in coords]
+    return _lattice_from_int_rows(G, rows, denom, provenance, stable, exact)
+
+
+def _lattice_from_int_rows(G: FiniteGroup, rows, denom: int, provenance=(),
+                           stable=False, exact=False) -> CentralLattice:
+    """Canonical CentralLattice spanned by integer class-sum rows over one
+    positive denominator."""
     lat = hnf(rows, len(G.conjugacy_classes))
     # minimal denominator: divide out any common factor shared with all entries
     g = math.gcd(denom, *(v for row in lat.basis for v in row))
@@ -357,14 +365,15 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
         # generators (group elements) permutes them
-        vectors = []
-        for grid in grids:
-            det = leibniz_det(G, grid)
-            for g in range(G.order):
-                vectors.append([det.coeffs[G.mul(G.inv(g), h)].as_rational()
-                                for h in range(G.order)])
+        dets = [_leibniz_int(G, grid) for grid in grids]
+        denom = math.lcm(1, *(den for _, den in dets))
+        translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
+        rows = []
+        for vec, den in dets:
+            vec = [c * (denom // den) for c in vec]
+            rows += ([vec[k] for k in t] for t in translates)
         prov = (f"Fit^{a} of {d_}x{d}: {len(grids)} minors x |G| translates",)
-        return lattice_from_vectors(G, vectors, prov, stable=True, exact=exact)
+        return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
     norm_gens = [nrd(GroupAlgebraMatrix.from_entries(G, grid)) for grid in grids]
     xi_els = xi.elements()
     gens = [x * y for x in norm_gens for y in xi_els]
@@ -410,16 +419,46 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
 def leibniz_det(G: FiniteGroup, grid) -> GroupAlgebraElement:
     """Determinant of a square grid over a commutative group ring, by the
     Leibniz expansion."""
-    k = len(grid)
-    acc = GroupAlgebraElement.zero(G)
-    for perm in itertools.permutations(range(k)):
-        term = GroupAlgebraElement.one(G)
-        for i in range(k):
-            term = term * grid[i][perm[i]]
-        if perm_sign(perm) < 0:
-            term = -term
-        acc = acc + term
-    return acc
+    vec, den = _leibniz_int(G, grid)
+    return GroupAlgebraElement(G, tuple(CycloNum.from_rational(Fraction(c, den))
+                                        for c in vec))
+
+
+def _leibniz_int(G: FiniteGroup, grid):
+    """leibniz_det as (integer coefficient vector, positive denominator).
+
+    Each row is cleared of denominators once, and the expansion runs on
+    integer vectors over the multiplication table; a permutation stops at
+    its first zero entry."""
+    table = G.mul_table
+    rows, den = [], 1
+    for row in grid:
+        coeffs = [c for e in row for c in e.coeffs]
+        if not all(c.is_rational() for c in coeffs):
+            raise ValueError("the Leibniz determinant is defined here for rational coefficients")
+        d = math.lcm(*(c.den for c in coeffs))
+        den *= d
+        # each entry as its nonzero (label, integer coefficient) pairs
+        rows.append([[(h, c.num[0] * (d // c.den)) for h, c in enumerate(e.coeffs) if c]
+                     for e in row])
+    acc = [0] * G.order
+    for perm in itertools.permutations(range(len(grid))):
+        term = [0] * G.order
+        term[G.identity] = perm_sign(perm)
+        for i, j in enumerate(perm):
+            entry = rows[i][j]
+            if not entry:
+                break
+            out = [0] * G.order
+            for g, x in enumerate(term):
+                if x:
+                    tg = table[g]
+                    for h, y in entry:
+                        out[tg[h]] += x * y
+            term = out
+        else:
+            acc = [x + y for x, y in zip(acc, term)]
+    return acc, den
 
 
 def char_value(rep, x: GroupAlgebraElement):
@@ -467,11 +506,13 @@ def regular_int_rows(M: GroupAlgebraMatrix):
             vec = [0] * (M.cols * n)
             for j in range(M.cols):
                 for h, c in enumerate(M.entries[t][j].coeffs):
-                    if not c.is_zero():
-                        q = c.as_rational()
-                        if q.denominator != 1:
+                    if c:
+                        if not c.is_rational():
+                            raise ValueError("the regular representation is defined here "
+                                             "for rational coefficients")
+                        if c.den != 1:
                             raise ValueError("integral matrix required")
-                        vec[j * n + G.mul(g, h)] += int(q)
+                        vec[j * n + G.mul(g, h)] += c.num[0]
             rows.append(vec)
     return rows
 

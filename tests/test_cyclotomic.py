@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: spec examples and field-axiom properties."""
 
+import math
 import random
 import sys
 import threading
@@ -123,11 +124,91 @@ def test_field_axioms(triple):
                                                st.integers(1, 200), st.integers(1, 200))))
 def test_galois_composition(data):
     n, x, a, b = data
-    import math
     a, b = 2 * a + 1, 2 * b + 1  # bias toward coprime candidates
     if math.gcd(a, n) != 1 or math.gcd(b, n) != 1:
         return
     assert galois_apply(a, galois_apply(b, x)) == galois_apply((a * b) % n, x)
+
+
+def _reference_reduce(poly, n):
+    """Remainder of a Fraction polynomial (low degree first) on long division
+    by the monic Phi_n, padded to phi(n) coefficients."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    rem = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c:
+            for i, p in enumerate(phi):
+                rem[k - d + i] -= c * p
+    return tuple(rem[:d])
+
+
+def _reference_mul(a, b, n):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _reference_reduce(prod, n)
+
+
+def _assert_canonical(x):
+    assert all(type(c) is int for c in x.num) and type(x.den) is int
+    assert len(x.num) == euler_phi(x.n)
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1  # zero is (0, ..., 0)/1
+
+
+def _coefficient_lists(n):
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    d = euler_phi(n)
+    return st.lists(coeff, min_size=d, max_size=d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_conductors.flatmap(lambda n: st.tuples(
+    st.just(n), _coefficient_lists(n), _coefficient_lists(n), st.integers(1, 120),
+    st.integers(2, 3), st.fractions(min_value=-4, max_value=4, max_denominator=9))))
+def test_integer_representation_matches_fraction_reference(data):
+    n, cx, cy, a, step, q = data
+    x, y = cyclo_make(n, cx), cyclo_make(n, cy)
+    results = {
+        "x": (x, tuple(cx)),
+        "x + y": (x + y, tuple(u + v for u, v in zip(cx, cy))),
+        "x - y": (x - y, tuple(u - v for u, v in zip(cx, cy))),
+        "x * y": (x * y, _reference_mul(cx, cy, n)),
+        "x * q": (x * q, tuple(u * q for u in cx)),
+        "x - x": (x - x, (Fraction(0),) * len(cx)),
+    }
+    if q:
+        results["x / q"] = (x / q, tuple(u / q for u in cx))
+    if math.gcd(a, n) == 1:
+        moved = [Fraction(0)] * n
+        for k, c in enumerate(cx):
+            moved[(a * k) % n] += c
+        results["galois"] = (x.galois(a), _reference_reduce(moved, n))
+    for name, (got, want) in results.items():
+        _assert_canonical(got)
+        assert got.coeffs == want, name
+        back = cyclo_make(got.n, got.coeffs)
+        assert (back.num, back.den) == (got.num, got.den), name
+    if not y.is_zero():
+        quotient = x / y
+        _assert_canonical(quotient)
+        assert _reference_mul(quotient.coeffs, cy, n) == tuple(cx)
+    # lift: zeta_n = zeta_m^(m/n), then reduce modulo Phi_m
+    m = n * step
+    spread = [Fraction(0)] * ((len(cx) - 1) * step + 1)
+    for k, c in enumerate(cx):
+        spread[k * step] = c
+    up = x.lift(m)
+    _assert_canonical(up)
+    assert up.n == m and up.coeffs == _reference_reduce(spread, m)
+    # equality across conductors
+    assert up == x and x == up
+    assert up + CycloNum.zeta(m) != x
+    assert (up * y).n == m and up * y == x * y
+    assert x.lift(m) - y == x - y
 
 
 def test_mixed_conductor_arithmetic():

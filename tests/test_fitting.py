@@ -4,15 +4,17 @@ annihilation: spec examples plus randomized exact comparisons."""
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cyclotomic import CycloNum
-from grax.fitting import (Budget, _normalised_monomials, annihilation_check, delta_check,
-                          fit_classical_oracle, fit_matrix, fit_transpose, hash_lattice,
-                          lattice_from_central, regular_int_rows, xi_approx)
+from grax.fitting import (Budget, _normalised_monomials, annihilation_check, char_value,
+                          delta_check, fit_classical_oracle, fit_matrix, fit_transpose,
+                          hash_lattice, lattice_from_central, leibniz_det, regular_int_rows,
+                          xi_approx)
 from grax.groups import group_from_catalog
 from grax.lattices import hnf, smith_normal_form
 from grax.reps import irreps
@@ -367,3 +369,32 @@ def test_regular_determinant_is_product_of_reduced_norms(name, d, seed):
     norm = math.prod(v ** rep.degree for rep, v in zip(irreps(G), nrd(M).values))
     assert norm.is_rational()
     assert abs(_bareiss_det(regular_int_rows(M))) == abs(norm.as_rational())
+
+
+ABELIAN_TO_12 = ([f"C{n}" for n in range(1, 13)]
+                 + [f"C{a}xC{b}" for a in range(2, 4) for b in range(a, 12 // a + 1)])
+
+
+@st.composite
+def _abelian_grids(draw):
+    G = group_from_catalog(draw(st.sampled_from(ABELIAN_TO_12)))
+    k = draw(st.integers(0, 3))
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    zero = [0] * G.order
+    entry = st.one_of(st.just(zero), st.lists(coeff, min_size=G.order, max_size=G.order))
+    grid = [[zero] * k if draw(st.integers(0, 4)) == 0 else [draw(entry) for _ in range(k)]
+            for _ in range(k)]
+    return G, [[GroupAlgebraElement.from_coeffs(G, e) for e in row] for row in grid]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_abelian_grids())
+def test_leibniz_det_matches_nrd_character_by_character(case):
+    # nrd takes each character's block determinant through mat_det, so it
+    # shares no code with the integer Leibniz expansion
+    G, grid = case
+    det = leibniz_det(G, grid)
+    norm = nrd(GroupAlgebraMatrix.from_entries(G, grid))
+    for rep, value in zip(irreps(G), norm.values):
+        assert char_value(rep, det) == value

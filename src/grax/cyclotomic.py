@@ -9,7 +9,8 @@ conductor equality is tuple equality.  Equality across conductors goes
 through the compatible system zeta_m = zeta_n^(n/m) for m | n, so
 mixed-conductor arithmetic is well defined.  Arithmetic runs on ints and
 normalises each result with one gcd; `coeffs` is a Fraction view for
-serialisation.  Inversion and descent solve a linear system over Q on the
+serialisation.  Inversion divides the product of the Galois conjugates by
+the (rational) norm; descent solves a linear system over Q on the
 elimination kernel in `grax.linalg`.
 """
 
@@ -268,28 +269,21 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse: solve num * y = 1 for the coordinates of
-        y, so that den * y is the inverse.
-
-        Column k of the phi(n) x phi(n) system holds num * zeta^k, built
-        from column k - 1 by one shift and one fold of zeta^phi(n)."""
+        """Multiplicative inverse from the Galois norm: p, the product of the
+        conjugates x.galois(a) for 1 < a < n coprime to n, makes N = self * p
+        rational, and the inverse is p / N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        d = len(self.num)
         if self.is_rational():
-            return _canonical(self.n, [self.den] + [0] * (d - 1), self.num[0])
-        from grax.linalg import rref
-
-        zeta_d = _reduction_rows(self.n)[0]
-        cols = [list(self.num)]
-        for _ in range(d - 1):
-            top, col = cols[-1][-1], [0] + cols[-1][:-1]
-            cols.append([x + top * z for x, z in zip(col, zeta_d)] if top else col)
-        rows, pivots = rref([[Fraction(col[i]) for col in cols] + [Fraction(i == 0)]
-                             for i in range(d)], d)
-        if len(pivots) < d:
-            raise ArithmeticError("multiplication by a nonzero element is singular")
-        return _from_fractions(self.n, [row[d] * self.den for row in rows])
+            return _canonical(self.n, [self.den] + [0] * (len(self.num) - 1), self.num[0])
+        p = CycloNum.from_rational(1)
+        for a in range(2, self.n):
+            if math.gcd(a, self.n) == 1:
+                p = p * self.galois(a)
+        norm = self * p
+        if not norm.is_rational():
+            raise ArithmeticError("the Galois norm of an element is not rational")
+        return p._scale(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -5,7 +5,8 @@ The Whitehead order of Z[G] is generated by reduced norms of all integral
 matrices; that set is infinite, so xi_approx enumerates a budgeted family
 and closes the resulting lattice under multiplication (products of reduced
 norms are reduced norms of block-diagonal matrices, so every generator
-remains genuine).  All lattices live in the conjugacy-class-sum basis of
+remains genuine).  delta_check tests the denominator ideal on the same
+monomial family.  All lattices live in the conjugacy-class-sum basis of
 the rational center, as a Hermite-normal-form integer lattice together
 with one common denominator; that pair is canonical, so lattice equality
 is literal equality.
@@ -136,26 +137,13 @@ def _small_elements(G: FiniteGroup, budget: Budget):
     for size in range(1, budget.support + 1):
         for supp in itertools.combinations(range(G.order), size):
             for coeffs in itertools.product(heights, repeat=size):
+                if len(out) >= budget.max_candidates:
+                    return out, total
                 vec = [0] * G.order
                 for g, c in zip(supp, coeffs):
                     vec[g] = c
                 out.append(GroupAlgebraElement.from_coeffs(G, vec))
-                if len(out) >= budget.max_candidates:
-                    return out, total
     return out, total
-
-
-def _small_matrices(G: FiniteGroup, size: int, budget: Budget):
-    """Matrices with monomial entries 0 or g, capped by the candidate budget."""
-    pool = [GroupAlgebraElement.zero(G)] + \
-           [GroupAlgebraElement.basis(G, g) for g in range(G.order)]
-    count = 0
-    for picks in itertools.product(range(len(pool)), repeat=size * size):
-        if count >= budget.max_candidates:
-            return
-        grid = [[pool[picks[i * size + j]] for j in range(size)] for i in range(size)]
-        count += 1
-        yield GroupAlgebraMatrix.from_entries(G, grid)
 
 
 def _monomial_patterns(size: int):
@@ -195,6 +183,13 @@ def _normalised_monomials(G: FiniteGroup, size: int):
             yield grid
 
 
+def _monomial_matrix(G: FiniteGroup, grid) -> GroupAlgebraMatrix:
+    """The matrix over Z[G] of a grid of group labels (None for 0)."""
+    return GroupAlgebraMatrix.from_entries(
+        G, [[GroupAlgebraElement.zero(G) if g is None else GroupAlgebraElement.basis(G, g)
+             for g in row] for row in grid])
+
+
 def _family_label(label: str, tried: int, total: int) -> str:
     """Provenance of an enumerated family; one cut by the candidate budget
     says how much of it was tried."""
@@ -226,13 +221,10 @@ def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
             elements += missing
             prov.append(f"1x1 group elements: {len(missing)}")
     gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in elements]
-    entry = {None: GroupAlgebraElement.zero(G)}
-    entry.update((g, GroupAlgebraElement.basis(G, g)) for g in range(G.order))
     for size in range(2, budget.max_matrix_size + 1):
         space = sum(G.order ** len(free) for _, free in _monomial_patterns(size))
         grids = list(itertools.islice(_normalised_monomials(G, size), budget.max_candidates))
-        gens += [nrd(GroupAlgebraMatrix.from_entries(G, [[entry[g] for g in row] for row in grid]))
-                 for grid in grids]
+        gens += [nrd(_monomial_matrix(G, grid)) for grid in grids]
         prov.append(_family_label(f"{size}x{size} monomial matrices", len(grids), space))
     for x in gens:
         if not x.is_integral():
@@ -270,31 +262,44 @@ def delta_check(x: CentralElement, G: FiniteGroup,
     certified-no returns a concrete integral matrix M with x * M* not
     integral.  For abelian G the question is decided exactly (the ideal is
     the whole ring, so membership is integrality of the descent).
+
+    Monomial matrices are tested up to diagonal units, on xi_approx's
+    family: for D1, D2 diagonal with group-element entries, block by block
+    (D1 R D2)* = nrd(D1) nrd(D2) D2^-1 R* D1^-1 (both sides vanish where
+    det R_chi = 0), and D1^-1, D2^-1 are monomial over Z[G], so x (D1 R D2)*
+    is integral exactly when c_g R* is, for the twist c_g = x nrd(g) with g
+    the product of the diagonal entries.  As [[g]]* = nrd(g) g^-1, the
+    twists alone decide the 1x1 group elements.
     """
+    xg = x.to_group_algebra()
     if G.is_abelian():
-        z = x.to_group_algebra()
-        if z.is_integral():
+        if xg.is_integral():
             return Verdict("exact-yes")
         return Verdict("certified-no", GroupAlgebraMatrix.identity(G, 1))
+
+    def integral(c: GroupAlgebraElement, star: GroupAlgebraMatrix) -> bool:
+        return all((c * e).is_integral() for row in star.entries for e in row)
+
+    twists = []  # (g, c_g) for each distinct twist, with its first g
     for g in range(G.order):
-        M = GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.basis(G, g)]])
-        if not _x_star_integral(x, M):
-            return Verdict("certified-no", M)
+        c = (x * nrd(_monomial_matrix(G, [[g]]))).to_group_algebra()
+        if not c.is_integral():
+            return Verdict("certified-no", _monomial_matrix(G, [[g]]))
+        if all(c != t for _, t in twists):
+            twists.append((g, c))
     for y in _small_elements(G, budget)[0]:
         M = GroupAlgebraMatrix.from_entries(G, [[y]])
-        if not _x_star_integral(x, M):
+        if not integral(xg, adjoint_star(M)):
             return Verdict("certified-no", M)
     for size in range(2, budget.max_matrix_size + 1):
-        for M in _small_matrices(G, size, budget):
-            if not _x_star_integral(x, M):
-                return Verdict("certified-no", M)
+        for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
+            star = adjoint_star(_monomial_matrix(G, grid))
+            for g, c in twists:
+                if not integral(c, star):
+                    # diag(g, 1, ..., 1) * R
+                    top = [None if h is None else G.mul(g, h) for h in grid[0]]
+                    return Verdict("certified-no", _monomial_matrix(G, [top, *grid[1:]]))
     return Verdict("passed-budget")
-
-
-def _x_star_integral(x: CentralElement, M: GroupAlgebraMatrix) -> bool:
-    star = adjoint_star(M)
-    xg = x.to_group_algebra()
-    return all((xg * e).is_integral() for row in star.entries for e in row)
 
 
 # -- Fitting invariants ------------------------------------------------------

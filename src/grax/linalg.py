@@ -1,9 +1,9 @@
 """Exact dense linear algebra over fields, on one elimination kernel.
 
-Matrices are lists of rows.  Every routine here, and `CycloNum.inverse`
-and `descend` in `grax.cyclotomic`, reads the result of one kernel:
-`_echelon` does forward elimination to row-echelon form, and `rref` adds
-back-substitution for the reduced row-echelon form.  The kernel tests for
+Matrices are lists of rows.  Every routine here, and `descend` in
+`grax.cyclotomic` (the one solve left over Fractions), reads the result of
+one kernel: `_echelon` does forward elimination to row-echelon form, and
+`rref` adds back-substitution for the reduced row-echelon form.  The kernel tests for
 zero with `not x` (and skips the row operations on a zero entry) and
 inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.

@@ -145,6 +145,17 @@ def test_budget_env_var(capsys, monkeypatch):
     assert len(doc["result"]["provenance"]) == 1  # no 2x2 pass under the env budget
 
 
+def test_zero_candidates_tries_no_element(capsys, monkeypatch):
+    monkeypatch.delenv("GRAX_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, "xi", "--group", "S3", "--no-timestamp",
+                           "--budget", json.dumps({"max_candidates": 0}))
+    assert code == 0
+    assert json.loads(out)["result"]["provenance"] == [
+        "1x1 elements: support<=2 height<=1 (truncated: 0 of 72 tried)",
+        "1x1 group elements: 6",
+        "2x2 monomial matrices (truncated: 0 of 21 tried)"]
+
+
 @pytest.mark.parametrize("budget, key", [
     ({"max_candidates": 2.9, "rounds": 1.5}, "max_candidates"),
     ({"max_matrix_size": True}, "max_matrix_size"),

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
+                          adjoint_star, nrd)
 from grax.cyclotomic import CycloNum
 from grax.fitting import (Budget, _normalised_monomials, annihilation_check, char_value,
                           delta_check, fit_classical_oracle, fit_matrix, fit_transpose,
@@ -93,6 +94,14 @@ def _closed(G, gens):
         lat = merged
 
 
+def _every_2x2_monomial(G):
+    """Every 2x2 matrix with entries in {0} and G, not up to units."""
+    entries = [GroupAlgebraElement.zero(G)] + [
+        GroupAlgebraElement.basis(G, g) for g in range(G.order)]
+    return [GroupAlgebraMatrix.from_entries(G, [[w, x], [y, z]])
+            for w, x, y, z in itertools.product(entries, repeat=4)]
+
+
 def test_xi_s3_equals_closure_of_all_monomial_matrices():
     G = group_from_catalog("S3")
     one_by_one = [GroupAlgebraElement.from_coeffs(
@@ -100,10 +109,7 @@ def test_xi_s3_equals_closure_of_all_monomial_matrices():
                   for size in (1, 2)
                   for supp in itertools.combinations(range(G.order), size)
                   for cs in itertools.product((-1, 1), repeat=size)]
-    entries = [GroupAlgebraElement.zero(G)] + [
-        GroupAlgebraElement.basis(G, g) for g in range(G.order)]
-    full = [GroupAlgebraMatrix.from_entries(G, [[w, x], [y, z]])
-            for w, x, y, z in itertools.product(entries, repeat=4)]
+    full = _every_2x2_monomial(G)
     assert len(full) == 2401
     gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in one_by_one]
     gens += [nrd(M) for M in full]
@@ -154,6 +160,57 @@ def test_delta_rejects_idempotent_image_q8():
     v = delta_check(e_triv, G, SMALL)
     assert v.kind == "certified-no"
     assert v.witness.rows == 1  # rejected at the one-by-one stage
+
+
+def _times_integral(x, star):
+    """Whether x * star is integral, entry by entry."""
+    xg = x.to_group_algebra()
+    return all((xg * e).is_integral() for row in star.entries for e in row)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+def test_adjoint_scales_by_nrd_of_diagonal_units(name):
+    # (D1 R D2)* = D2^-1 R* D1^-1 nrd(D1 D2), singular R included
+    G = group_from_catalog(name)
+    rng = random.Random(name)
+    entry = {None: GroupAlgebraElement.zero(G)}
+    entry.update((g, GroupAlgebraElement.basis(G, g)) for g in range(G.order))
+
+    def diag(labels):
+        return GroupAlgebraMatrix.from_entries(
+            G, [[entry[g if i == j else None] for j in range(2)] for i, g in enumerate(labels)])
+
+    singular = 0
+    for grid in _normalised_monomials(G, 2):
+        R = GroupAlgebraMatrix.from_entries(G, [[entry[g] for g in row] for row in grid])
+        singular += nrd(R).has_zero_component()
+        star = adjoint_star(R)
+        for _ in range(2):
+            d1, d2 = rng.choices(range(G.order), k=2), rng.choices(range(G.order), k=2)
+            D1, D2 = diag(d1), diag(d2)
+            inv1, inv2 = diag([G.inv(g) for g in d1]), diag([G.inv(g) for g in d2])
+            assert adjoint_star(D1 * R * D2) == \
+                inv2 * star * inv1 * nrd(D1 * D2).to_group_algebra()
+    assert singular > 0
+
+
+def test_delta_matches_all_monomial_matrices_s3():
+    G = group_from_catalog("S3")
+    budget = Budget(support=1)
+    three, six = (CentralElement.from_rational(G, q) for q in (3, 6))
+    assert delta_check(three, G, Budget(support=1, max_matrix_size=1)).kind == "passed-budget"
+    v = delta_check(three, G, budget)
+    assert v.kind == "certified-no" and v.witness.rows == 2
+    assert v.witness.is_integral() and not _times_integral(three, adjoint_star(v.witness))
+    assert delta_check(six, G, budget).kind == "passed-budget"
+    stars = [adjoint_star(M) for M in _every_2x2_monomial(G)]
+    assert not all(_times_integral(three, s) for s in stars)
+    assert all(_times_integral(six, s) for s in stars)
+
+
+def test_delta_s4_order_passes():
+    G = group_from_catalog("S4")
+    assert delta_check(CentralElement.from_rational(G, 24), G).kind == "passed-budget"
 
 
 def test_fit_square_a0_is_principal():

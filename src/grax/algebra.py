@@ -10,6 +10,7 @@ rational group algebra, and every constructor checks it exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -353,8 +354,17 @@ class CentralElement:
         return CentralElement(self.group, tuple(self.values[p] for p in perm))
 
     def coords(self) -> tuple[Fraction, ...]:
-        """Coordinates in the conjugacy-class-sum basis of the rational center."""
+        """Coordinates in the conjugacy-class-sum basis of the rational center:
+        at each class representative g, sum_chi v_chi chi(1) chi(g^-1) / |G|."""
         G = self.group
+        table = _rational_class_table(G)
+        if table is not None and all(v.is_rational() for v in self.values):
+            # one integer dot product per class over one common denominator
+            den = math.lcm(*(v.den for v in self.values))
+            nums = [v.num[0] * (den // v.den) for v in self.values]
+            den *= G.order
+            return tuple(Fraction(sum(a * b for a, b in zip(nums, row)), den)
+                         for row in table)
         reps = irreps(G)
         out = []
         for cls in G.conjugacy_classes:
@@ -402,6 +412,37 @@ class CentralElement:
 
     def __repr__(self):
         return f"CentralElement({self.group.name}, {list(self.values)!r})"
+
+
+@functools.lru_cache(maxsize=None)
+def _rational_class_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...] | None:
+    """Row k holds chi(1) chi(g_k^-1) for each character chi, with g_k the
+    representative of class k, when every such value is a rational integer;
+    None when some character is irrational."""
+    reps = irreps(G)
+    table = []
+    for cls in G.conjugacy_classes:
+        values = [rep.character[G.inv(cls[0])] for rep in reps]
+        if not all(v.is_rational() and v.den == 1 for v in values):
+            return None
+        table.append(tuple(rep.degree * v.num[0] for rep, v in zip(reps, values)))
+    return tuple(table)
+
+
+def class_product(G: FiniteGroup, u, v) -> list:
+    """Product of two central elements given by class-sum coordinates.
+
+    Coordinate k is the coefficient of the class representative g_k in
+    (sum_x u[class(x)] x)(sum_y v[class(y)] y), that is
+    sum_x u[class(x)] v[class(x^-1 g_k)]; integer input gives integer output.
+    """
+    table, inverse, class_of = G.mul_table, G.inverse, G.class_of
+    out = []
+    for cls in G.conjugacy_classes:
+        g = cls[0]
+        out.append(sum(u[class_of[x]] * v[class_of[table[inverse[x]][g]]]
+                       for x in range(G.order) if u[class_of[x]]))
+    return out
 
 
 def galois_defect(G: FiniteGroup, values):

@@ -11,6 +11,12 @@ the rational center, as a Hermite-normal-form integer lattice together
 with one common denominator; that pair is canonical, so lattice equality
 is literal equality.
 
+Central products (the xi closure, minors times xi in fit_matrix) are taken
+in integer class coordinates over the group table (algebra.class_product)
+and only between HNF basis rows: the product is Z-bilinear, so the span of
+all products x*y depends only on the spans of the two factors, and the
+lattice is the one the full generator lists would give.
+
 For abelian groups the order is exactly the image of Z[G] and the minors
 pool is complete by multilinearity, so fit_matrix agrees with the
 classical Fitting ideal computed independently by fit_classical_oracle.
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, nrd)
+                          adjoint_star, class_product, nrd)
 from grax.cyclotomic import CycloNum
 from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf
@@ -232,9 +238,13 @@ def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
     current = lattice_from_central(G, gens, prov)
     stable = False
     for _ in range(budget.rounds):
-        basis = current.elements()
-        products = [a * b for a, b in itertools.product(basis, basis)]
-        merged = lattice_from_central(G, basis + products, prov)
+        # with b/D the basis elements, span the b/D and the products a*b/D^2
+        # (the center is commutative, so each unordered pair once)
+        D, basis = current.denominator, current.lattice.basis
+        rows = [[D * v for v in b] for b in basis]
+        rows += [class_product(G, a, b)
+                 for a, b in itertools.combinations_with_replacement(basis, 2)]
+        merged = _lattice_from_int_rows(G, rows, D * D, prov)
         if merged == current:
             stable = True
             break
@@ -379,11 +389,13 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
             rows += ([vec[k] for k in t] for t in translates)
         prov = (f"Fit^{a} of {d_}x{d}: {len(grids)} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
-    norm_gens = [nrd(GroupAlgebraMatrix.from_entries(G, grid)) for grid in grids]
-    xi_els = xi.elements()
-    gens = [x * y for x in norm_gens for y in xi_els]
-    prov = (f"Fit^{a} of {d_}x{d}: {len(norm_gens)} minors x {len(xi_els)} order gens",)
-    return lattice_from_central(G, gens, prov, stable=xi.stable or xi.exact, exact=exact)
+    # by bilinearity, products of the two HNF bases span all products
+    minors = lattice_from_central(
+        G, [nrd(GroupAlgebraMatrix.from_entries(G, grid)) for grid in grids])
+    rows = [class_product(G, u, y) for u in minors.lattice.basis for y in xi.lattice.basis]
+    prov = (f"Fit^{a} of {d_}x{d}: {len(grids)} minors x {xi.lattice.rank} order gens",)
+    return _lattice_from_int_rows(G, rows, minors.denominator * xi.denominator, prov,
+                                  stable=xi.stable or xi.exact, exact=exact)
 
 
 def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 def _xgcd(a: int, b: int):
@@ -117,9 +118,16 @@ class IntLattice:
         return not any(ints)
 
 
+def _as_int(v) -> int:
+    if isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1):
+        return int(v)
+    raise ValueError(f"hnf needs integer generators, not {v!r}")
+
+
 def hnf(generators, ambient_rank: int | None = None) -> IntLattice:
-    """Hermite normal form lattice of the integer span of the generators."""
-    gens = [list(map(int, g)) for g in generators]
+    """Hermite normal form lattice of the integer span of the generators,
+    whose entries must be ints or integral Fractions."""
+    gens = [[v if type(v) is int else _as_int(v) for v in g] for g in generators]
     if ambient_rank is None:
         ambient_rank = len(gens[0]) if gens else 0
     basis: list[list[int]] = []

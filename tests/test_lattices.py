@@ -7,6 +7,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from grax.lattices import _insert, hnf, smith_normal_form
 
 
@@ -24,6 +26,17 @@ def test_hnf_full_lattice():
 def test_hnf_empty_is_zero_lattice():
     L = hnf([])
     assert L.rank == 0 and L.basis == ()
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), 2.5])
+def test_hnf_refuses_non_integer_generators(bad):
+    # truncating them would span the wrong lattice
+    with pytest.raises(ValueError, match="integer generators"):
+        hnf([[bad, 0], [0, 2]])
+
+
+def test_hnf_accepts_integral_fractions():
+    assert hnf([[Fraction(4, 2), 0], [0, 3]]).basis == ((2, 0), (0, 3))
 
 
 def test_membership_and_local_membership():

@@ -6,6 +6,17 @@ element is stored as its tuple of values at the catalog irreducibles; the
 Galois-consistency invariant (values at sigma-conjugate characters are
 sigma-conjugate values) certifies that the tuple lies in the center of the
 rational group algebra, and every constructor checks it exactly.
+
+Blocks of matrices with rational coefficients are built on integers.
+Every catalog model is integral, so each IrreducibleRep holds rho(g) as
+power-basis integer vectors at its conductor n (`images`).  A matrix's
+rows are cleared of denominators once (cleared_rows), and its block at a
+character is one integer sum per entry (int_block); this is the one block
+builder for rational input, and wedderburn_block is its CycloNum view.
+nrd takes each block's determinant by fraction-free Bareiss elimination
+over Z[zeta_n] (cyclotomic.det_int), whose exact divisions multiply by
+the other Galois conjugates of the previous pivot and divide by its
+integer norm.  Only coefficients outside Q go through rep_of_element.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax import linalg
-from grax.cyclotomic import CycloNum
+from grax.cyclotomic import CycloNum, cyclo_from_int, det_int
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
@@ -231,13 +242,65 @@ def rep_of_element(x: GroupAlgebraElement, rep: IrreducibleRep):
 
 def wedderburn(x: GroupAlgebraElement):
     """Per-character image of x under E[G] -> prod M_deg(E)."""
-    return tuple(rep_of_element(x, rep) for rep in irreps(x.group))
+    M = GroupAlgebraMatrix.from_entries(x.group, [[x]])
+    return tuple(wedderburn_block(M, chi) for chi in range(len(irreps(x.group))))
+
+
+def cleared_rows(grid):
+    """A grid of rational group-algebra elements with each row cleared of
+    denominators once: (rows, dens), where rows[u][v] lists the nonzero
+    (label, integer coefficient) pairs of dens[u] times entry (u, v) and
+    dens[u] is the lcm of row u's coefficient denominators."""
+    rows, dens = [], []
+    for row in grid:
+        d = math.lcm(*{c.den for e in row for c in e.coeffs})
+        rows.append([[(g, c.num[0] * (d // c.den)) for g, c in enumerate(e.coeffs) if c]
+                     for e in row])
+        dens.append(d)
+    return rows, dens
+
+
+def int_block(rows, rep: IrreducibleRep):
+    """The block at rep of cleared rows, over Z[zeta_n] with n the
+    conductor of rep: block row u*deg + i, column v*deg + j holds
+    sum_g c_g rho(g)_ij as a power-basis integer vector, with c_g the
+    coefficients of entry (u, v)."""
+    c, images = rep.degree, rep.images
+    d = len(images[0]) // (c * c)
+    out = []
+    for row in rows:
+        sums = []
+        for entry in row:
+            acc = [0] * len(images[0])
+            for g, x in entry:
+                acc = [s + x * t for s, t in zip(acc, images[g])]
+            sums.append(acc)
+        for i in range(c):
+            out.append([acc[k:k + d] for acc in sums
+                        for k in range(i * c * d, (i + 1) * c * d, d)])
+    return out
+
+
+def block_det(rep: IrreducibleRep, blk, dens) -> CycloNum:
+    """Determinant of the block of the rows cleared by dens: the integer
+    determinant over the product of the row denominators, each to the
+    degree."""
+    return cyclo_from_int(rep.conductor, det_int(blk, rep.conductor),
+                          math.prod(dens) ** rep.degree)
 
 
 def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
-    """The (rows*deg) x (cols*deg) splitting-field matrix of M at one character."""
+    """The (rows*deg) x (cols*deg) splitting-field matrix of M at one character.
+
+    For rational coefficients this is the integer block of the cleared
+    rows over their denominators; other coefficients sum their rho(g)
+    over the splitting field."""
     rep = irreps(M.group)[chi]
     c = rep.degree
+    if M.is_rational():
+        rows, dens = cleared_rows(M.entries)
+        return [[cyclo_from_int(rep.conductor, v, dens[U // c]) for v in brow]
+                for U, brow in enumerate(int_block(rows, rep))]
     out = [[ZERO] * (M.cols * c) for _ in range(M.rows * c)]
     for u in range(M.rows):
         for v in range(M.cols):
@@ -445,6 +508,14 @@ def class_product(G: FiniteGroup, u, v) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _galois_trivial(G: FiniteGroup) -> bool:
+    """Whether every Galois automorphism of Q(zeta_e) fixes every character."""
+    e = G.exponent
+    return all(galois_permutation(G, a) == tuple(range(len(irreps(G))))
+               for a in range(2, e) if math.gcd(a, e) == 1)
+
+
 def galois_defect(G: FiniteGroup, values):
     """Why a tuple of character values is not a central element of Q[G]: a
     conductor that does not divide the exponent, or a Galois automorphism
@@ -454,6 +525,9 @@ def galois_defect(G: FiniteGroup, values):
     for v in values:
         if e % v.n:
             return "central value conductor does not divide the exponent"
+    # where every sigma_a fixes every character, consistency is rationality
+    if _galois_trivial(G) and all(v.is_rational() for v in values):
+        return None
     lifted = [v.lift(e) for v in values]
     for a in range(2, e):
         if math.gcd(a, e) != 1:
@@ -470,16 +544,17 @@ def galois_defect(G: FiniteGroup, values):
 def nrd(M: GroupAlgebraMatrix) -> CentralElement:
     """Reduced norm of a square matrix over Q[G], valued in the center.
 
-    Computed per character as the determinant of the assembled splitting
-    field block.  Integral input yields componentwise integral values and
-    the result always passes the Galois-consistency check.
+    Computed per character as the fraction-free determinant of the integer
+    block of the cleared rows (block_det).  Integral input yields
+    componentwise integral values and the result always passes the
+    Galois-consistency check.
     """
     if M.rows != M.cols:
         raise ValueError("reduced norm needs a square matrix")
     if not M.is_rational():
         raise ValueError("reduced norm is defined here for rational coefficients")
-    values = tuple(linalg.mat_det(wedderburn_block(M, i))
-                   for i in range(len(irreps(M.group))))
+    rows, dens = cleared_rows(M.entries)
+    values = tuple(block_det(rep, int_block(rows, rep), dens) for rep in irreps(M.group))
     out = CentralElement(M.group, values)
     if M.is_integral() and not out.is_integral():
         raise AssertionError("reduced norm of an integral matrix must be integral")

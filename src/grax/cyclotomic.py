@@ -11,7 +11,9 @@ mixed-conductor arithmetic is well defined.  Arithmetic runs on ints and
 normalises each result with one gcd; `coeffs` is a Fraction view for
 serialisation.  Inversion divides the product of the Galois conjugates by
 the (rational) norm; descent solves a linear system over Q on the
-elimination kernel in `grax.linalg`.
+elimination kernel in `grax.linalg`.  `det_int` is the determinant over
+Z[zeta_n] on bare integer vectors, by fraction-free elimination whose
+exact divisions use the same conjugate product and norm.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
     """Reduce a low-first integer coefficient list modulo Phi_n to length phi(n)."""
-    d = euler_phi(n)
+    rows = _reduction_rows(n)
+    d = len(rows[0])
     if len(coeffs) <= d:
         return coeffs + [0] * (d - len(coeffs))
-    rows = _reduction_rows(n)
     out = coeffs[:d]
     for k in range(d, len(coeffs)):
         c = coeffs[k]
@@ -122,6 +124,44 @@ def _canonical(n: int, num, den: int) -> "CycloNum":
         num = [c // g for c in num]
         den //= g
     return CycloNum(n, num, den)
+
+
+def _poly_mul(x, y) -> list[int]:
+    """Product of two low-first integer coefficient lists, unreduced."""
+    prod = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    prod[i + j] += a * b
+    return prod
+
+
+def _mul_int(x, y, n: int) -> list[int]:
+    """Product of two power-basis integer vectors modulo Phi_n."""
+    return _reduce_poly(_poly_mul(x, y), n)
+
+
+def _galois_int(x, n: int, a: int) -> list[int]:
+    """The automorphism zeta_n -> zeta_n^a on a power-basis integer vector."""
+    out = [0] * n
+    for k, c in enumerate(x):
+        out[(a * k) % n] = c
+    return _reduce_poly(out, n)
+
+
+def _conjugates_and_norm(x, n: int) -> tuple[list[int], int]:
+    """For a nonzero integer vector x: the product conj of its conjugates
+    sigma_a(x), 1 < a < n coprime to n, and the integer norm N = x * conj.
+    Then 1/x = conj/N, and y/x = (y * conj)/N for every y."""
+    conj = [1]
+    for a in range(2, n):
+        if math.gcd(a, n) == 1:
+            conj = _mul_int(conj, _galois_int(x, n, a), n)
+    norm = _mul_int(x, conj, n)
+    if any(norm[1:]):
+        raise ArithmeticError("the Galois norm of an element is not rational")
+    return conj, norm[0]
 
 
 def _from_fractions(n: int, coeffs, den: int = 1) -> "CycloNum":
@@ -253,13 +293,7 @@ class CycloNum:
             if other.n == 1:
                 return self._scale(other.num[0], other.den)
             a, b = self._pair(other)
-            prod = [0] * (2 * len(a.num) - 1)
-            for i, x in enumerate(a.num):
-                if x:
-                    for j, y in enumerate(b.num):
-                        if y:
-                            prod[i + j] += x * y
-            return _canonical(a.n, _reduce_poly(prod, a.n), a.den * b.den)
+            return _canonical(a.n, _reduce_poly(_poly_mul(a.num, b.num), a.n), a.den * b.den)
         if isinstance(other, int):
             return self._scale(other, 1)
         if isinstance(other, Fraction):
@@ -276,14 +310,9 @@ class CycloNum:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
             return _canonical(self.n, [self.den] + [0] * (len(self.num) - 1), self.num[0])
-        p = CycloNum.from_rational(1)
-        for a in range(2, self.n):
-            if math.gcd(a, self.n) == 1:
-                p = p * self.galois(a)
-        norm = self * p
-        if not norm.is_rational():
-            raise ArithmeticError("the Galois norm of an element is not rational")
-        return p._scale(norm.den, norm.num[0])
+        # with x = num/den: p = conj/den^(phi-1) and N = norm/den^phi
+        conj, norm = _conjugates_and_norm(self.num, self.n)
+        return _canonical(self.n, [c * self.den for c in conj], norm)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -318,11 +347,7 @@ class CycloNum:
         """Apply the automorphism zeta_n -> zeta_n^a; requires gcd(a, n) = 1."""
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not coprime to the conductor {self.n}")
-        n = self.n
-        out = [0] * n
-        for k, c in enumerate(self.num):
-            out[(a * k) % n] = c
-        return _canonical(n, _reduce_poly(out, n), self.den)
+        return _canonical(self.n, _galois_int(self.num, self.n, a), self.den)
 
     # -- comparison ------------------------------------------------------
 
@@ -361,12 +386,74 @@ def cyclo_make(n: int, coeffs) -> CycloNum:
     return _from_fractions(n, coeffs)
 
 
+def cyclo_from_int(n: int, num, den: int = 1) -> CycloNum:
+    """The element num/den for a power-basis integer vector num at
+    conductor n, canonical, and at conductor 1 when it is rational."""
+    if any(num[1:]):
+        return _canonical(n, num, den)
+    return _canonical(1, num[:1], den)
+
+
 def cyclo_inverse(x: CycloNum) -> CycloNum:
     return x.inverse()
 
 
 def galois_apply(a: int, x: CycloNum) -> CycloNum:
     return x.galois(a)
+
+
+def det_int(rows, n: int) -> list[int]:
+    """Determinant of a square matrix over Z[zeta_n] whose entries are
+    power-basis integer vectors (euler_phi(n) ints each), as such a vector.
+
+    Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): step k
+    replaces each entry a_ij below and right of the pivot b = a_kk by
+    (b a_ij - a_ik a_kj) / b', with b' the previous pivot, so the last
+    pivot is the determinant up to the sign of the row swaps.  Each
+    quotient lies in Z[zeta_n], whose power basis is an integral basis; it
+    is taken as the product with the conjugates of b' and one exact integer
+    division by the norm of b', both set up once per step.  A remainder
+    means a wrong quotient and raises AssertionError.  Where phi(n) = 1 the
+    ring is Z and the same steps run on plain ints.
+    """
+    d = euler_phi(n)
+    scalar = d == 1
+    a = [[v[0] for v in row] if scalar else [list(v) for v in row] for row in rows]
+    size, sign, prev = len(a), 1, None
+    for k in range(size):
+        p = next((i for i in range(k, size) if (a[i][k] if scalar else any(a[i][k]))), None)
+        if p is None:
+            return [0] * d
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        b = pivot_row[k]
+        if prev is not None and not scalar:
+            conj, norm = _conjugates_and_norm(prev, n)
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, size):
+                if scalar:
+                    x = row[j] * b - f * pivot_row[j]
+                    if prev is not None:
+                        x, r = divmod(x, prev)
+                        if r:
+                            raise AssertionError("inexact Bareiss quotient")
+                else:
+                    x = _reduce_poly([s - t for s, t in zip(_poly_mul(row[j], b),
+                                                             _poly_mul(f, pivot_row[j]))], n)
+                    if prev is not None:
+                        x = _mul_int(x, conj, n)
+                        if any(c % norm for c in x):
+                            raise AssertionError("inexact Bareiss quotient")
+                        x = [c // norm for c in x]
+                row[j] = x
+        prev = b
+    if not size:
+        return [1] + [0] * (d - 1)
+    det = a[-1][-1]
+    return [sign * det] if scalar else [sign * c for c in det]
 
 
 class NotInSubfield:

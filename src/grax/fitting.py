@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, class_product, nrd)
+                          adjoint_star, block_det, class_product, cleared_rows, int_block,
+                          nrd)
 from grax.cyclotomic import CycloNum
 from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf
@@ -360,42 +361,61 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
         xi = xi_approx(G, budget)
     d_, d = M.rows, M.cols
     pool = _replacement_pool(G, d_, budget)
-    grids = []
-    for t in range(0, min(a, d) + 1):
-        for col_subset in itertools.combinations(range(d), t):
-            for replacement in itertools.product(pool, repeat=t):
-                for row_subset in itertools.combinations(range(d_), d):
-                    grid = []
-                    for i in row_subset:
-                        row = []
-                        for j in range(d):
-                            if j in col_subset:
-                                row.append(replacement[col_subset.index(j)][i])
-                            else:
-                                row.append(M.entries[i][j])
-                        grid.append(row)
-                    grids.append(grid)
+    # [M | pool]: each minor takes d of its rows and d of its columns
+    wide = [list(M.entries[i]) + [col[i] for col in pool] for i in range(d_)]
+    minors = list(_minor_selections(d_, d, len(pool), a))
     exact = abelian or (a == 0 and d_ == d)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
         # generators (group elements) permutes them
-        dets = [_leibniz_int(G, grid) for grid in grids]
+        dets = [_leibniz_int(G, [[wide[i][j] for j in cols] for i in rsub])
+                for rsub, cols in minors]
         denom = math.lcm(1, *(den for _, den in dets))
         translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
         rows = []
         for vec, den in dets:
             vec = [c * (denom // den) for c in vec]
             rows += ([vec[k] for k in t] for t in translates)
-        prov = (f"Fit^{a} of {d_}x{d}: {len(grids)} minors x |G| translates",)
+        prov = (f"Fit^{a} of {d_}x{d}: {len(minors)} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
+    if not M.is_rational():
+        raise ValueError("reduced norm is defined here for rational coefficients")
+    # each character's block of [M | pool] once; a minor's block selects
+    # its rows and columns, deg block rows and columns each
+    cleared, dens = cleared_rows(wide)
+    reps = irreps(G)
+    blocks = [int_block(cleared, rep) for rep in reps]
+    nrds = []
+    for rsub, cols in minors:
+        values = []
+        for rep, blk in zip(reps, blocks):
+            c = rep.degree
+            bcols = [v * c + j for v in cols for j in range(c)]
+            values.append(block_det(rep, [[blk[u * c + i][x] for x in bcols]
+                                          for u in rsub for i in range(c)],
+                                    [dens[u] for u in rsub]))
+        nrds.append(CentralElement(G, tuple(values)))
     # by bilinearity, products of the two HNF bases span all products
-    minors = lattice_from_central(
-        G, [nrd(GroupAlgebraMatrix.from_entries(G, grid)) for grid in grids])
-    rows = [class_product(G, u, y) for u in minors.lattice.basis for y in xi.lattice.basis]
-    prov = (f"Fit^{a} of {d_}x{d}: {len(grids)} minors x {xi.lattice.rank} order gens",)
-    return _lattice_from_int_rows(G, rows, minors.denominator * xi.denominator, prov,
+    span = lattice_from_central(G, nrds)
+    rows = [class_product(G, u, y) for u in span.lattice.basis for y in xi.lattice.basis]
+    prov = (f"Fit^{a} of {d_}x{d}: {len(minors)} minors x {xi.lattice.rank} order gens",)
+    return _lattice_from_int_rows(G, rows, span.denominator * xi.denominator, prov,
                                   stable=xi.stable or xi.exact, exact=exact)
+
+
+def _minor_selections(nrows: int, d: int, npool: int, a: int):
+    """The minors of fit_matrix as (row subset, columns) in [M | pool]: d of
+    the nrows rows, and column j of M or, for at most a of the j, pool
+    column p (column d + p)."""
+    for t in range(0, min(a, d) + 1):
+        for col_subset in itertools.combinations(range(d), t):
+            for replacement in itertools.product(range(npool), repeat=t):
+                cols = list(range(d))
+                for j, p in zip(col_subset, replacement):
+                    cols[j] = d + p
+                for row_subset in itertools.combinations(range(nrows), d):
+                    yield row_subset, cols
 
 
 def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
@@ -448,16 +468,10 @@ def _leibniz_int(G: FiniteGroup, grid):
     integer vectors over the multiplication table; a permutation stops at
     its first zero entry."""
     table = G.mul_table
-    rows, den = [], 1
-    for row in grid:
-        coeffs = [c for e in row for c in e.coeffs]
-        if not all(c.is_rational() for c in coeffs):
-            raise ValueError("the Leibniz determinant is defined here for rational coefficients")
-        d = math.lcm(*(c.den for c in coeffs))
-        den *= d
-        # each entry as its nonzero (label, integer coefficient) pairs
-        rows.append([[(h, c.num[0] * (d // c.den)) for h, c in enumerate(e.coeffs) if c]
-                     for e in row])
+    if not all(c.is_rational() for row in grid for e in row for c in e.coeffs):
+        raise ValueError("the Leibniz determinant is defined here for rational coefficients")
+    rows, dens = cleared_rows(grid)
+    den = math.prod(dens)
     acc = [0] * G.order
     for perm in itertools.permutations(range(len(grid))):
         term = [0] * G.order

@@ -46,6 +46,11 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return _element_order(self.mul_table, a)
 
+    def __hash__(self):
+        # a catalog group is determined by its family and params; equality
+        # still compares the whole table, so equal groups hash equal
+        return hash((self.family, self.params))
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 

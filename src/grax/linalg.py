@@ -7,6 +7,10 @@ one kernel: `_echelon` does forward elimination to row-echelon form, and
 zero with `not x` (and skips the row operations on a zero entry) and
 inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.
+
+`mat_det` is the field determinant of `adjoint_star`, `nrd_op` and
+`grax.detfun`, and the oracle the tests hold `nrd` to; `nrd` itself takes
+fraction-free determinants of integer blocks (`cyclotomic.det_int`).
 """
 
 from __future__ import annotations

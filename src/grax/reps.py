@@ -14,6 +14,7 @@ pairs, the dimension count sum(deg^2) = |G|, and character orthogonality.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +30,20 @@ _ONE = CycloNum.from_rational(1)
 
 @dataclass(frozen=True)
 class IrreducibleRep:
+    """One irreducible model: rho(g) for each label and its character.
+
+    Every catalog model is integral, so each rho(g) is also held as
+    integers: images[g] lists, row by row, the power-basis coordinates of
+    its entries at the conductor (the lcm of the entries' conductors),
+    euler_phi(conductor) ints per entry.
+    """
+
     group: FiniteGroup
     degree: int
     matrices: tuple[Matrix, ...]
     character: tuple[CycloNum, ...]
+    conductor: int
+    images: tuple[tuple[int, ...], ...]
 
     def __repr__(self):
         return f"IrreducibleRep({self.group.name}, degree={self.degree})"
@@ -63,7 +74,14 @@ def _make_rep(G: FiniteGroup, mats: list[Matrix]) -> IrreducibleRep:
     if mats[0] != _identity(deg):
         raise AssertionError(f"{G.name}: identity is not represented by I")
     character = tuple(_trace(m) for m in mats)
-    return IrreducibleRep(G, deg, tuple(mats), character)
+    conductor = math.lcm(*(e.n for m in mats for row in m for e in row))
+    images = []
+    for m in mats:
+        lifted = [e.lift(conductor) for row in m for e in row]
+        if any(e.den != 1 for e in lifted):
+            raise AssertionError(f"{G.name}: representation entries are not integral")
+        images.append(tuple(c for e in lifted for c in e.num))
+    return IrreducibleRep(G, deg, tuple(mats), character, conductor, tuple(images))
 
 
 def _char_rep(G: FiniteGroup, values: list[CycloNum]) -> IrreducibleRep:

@@ -1,17 +1,18 @@
 """Wedderburn isomorphism, reduced norms, generalized adjoints, involution."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, hash_involution, nrd, nrd_element,
+                          _galois_trivial, adjoint_star, hash_involution, nrd, nrd_element,
                           reduced_rank, wedderburn, wedderburn_inverse)
 from grax.cyclotomic import CycloNum
 from grax.groups import group_from_catalog
 from grax.linalg import mat_mul
-from grax.reps import central_idempotent, irreps
+from grax.reps import central_idempotent, galois_permutation, irreps
 
 
 def rand_gae(rng, G, h=3):
@@ -219,6 +220,31 @@ def test_central_element_coords_roundtrip():
                   for _ in G.conjugacy_classes]
         x = CentralElement.from_coords(G, coords)
         assert x.coords() == tuple(coords)
+
+
+def test_irrational_value_refused_where_galois_acts_trivially():
+    # on Q8 every sigma_a fixes every character, so a consistent tuple is
+    # rational; zeta_4 at a degree-1 character gets the full check's message
+    G = group_from_catalog("Q8")
+    assert _galois_trivial(G)
+    values = (CycloNum.zeta(4),) + (CycloNum.from_rational(1),) * 4
+    with pytest.raises(AssertionError, match="^Galois consistency fails for sigma_3 at character 0$"):
+        CentralElement(G, values)
+
+
+@pytest.mark.parametrize("name", ["A4", "C12", "D5"])
+def test_rational_tuple_off_a_galois_orbit_refused(name):
+    # here some sigma_a moves a character, so rational values are not enough
+    G = group_from_catalog(name)
+    assert not _galois_trivial(G)
+    perm = next(p for p in (galois_permutation(G, a) for a in range(2, G.exponent)
+                            if math.gcd(a, G.exponent) == 1)
+                if p != tuple(range(len(p))))
+    moved = next(i for i, j in enumerate(perm) if i != j)
+    values = [CycloNum.from_rational(1)] * len(perm)
+    values[moved] = CycloNum.from_rational(2)
+    with pytest.raises(AssertionError, match="Galois consistency fails"):
+        CentralElement(G, tuple(values))
 
 
 def test_galois_consistency_enforced():

@@ -301,11 +301,13 @@ _C4_ZETA = {"n": 4, "coeffs": ["0", "1"]}
      "--basis", json.dumps({"group": "C4", "entries": [[{"0": _C4_ZETA}]]})],
     ["fit", "--group", "C4", "--matrix", json.dumps({"entries": [[{"0": _C4_ZETA}]]}),
      "--a", "0"],
+    ["fit", "--group", "Q8", "--matrix", json.dumps({"entries": [[{"0": _C4_ZETA}]]}),
+     "--a", "0", "--budget", json.dumps({"max_matrix_size": 1})],
     ["rubin", "--group", "C4",
      "--element", json.dumps({"entries": [[{"0": "2", "1": "2", "2": "-2", "3": "-2"},
                                            {"0": "2", "1": "-2", "2": "-2", "3": "2"}]]}),
      "--gens", json.dumps({"entries": [[{"0": _C4_ZETA}, {}], [{}, {"0": "2"}]]})],
-], ids=["adjoint", "det-free", "fit", "rubin-gens"])
+], ids=["adjoint", "det-free", "fit", "fit-nonabelian", "rubin-gens"])
 def test_non_rational_matrix_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

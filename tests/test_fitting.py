@@ -448,8 +448,9 @@ def _abelian_grids(draw):
 @settings(max_examples=80, deadline=None)
 @given(_abelian_grids())
 def test_leibniz_det_matches_nrd_character_by_character(case):
-    # nrd takes each character's block determinant through mat_det, so it
-    # shares no code with the integer Leibniz expansion
+    # nrd takes each character's determinant by Bareiss elimination on its
+    # integer block, so it shares only the row clearing (cleared_rows) with
+    # the Leibniz expansion; test_blocks checks that against rep_of_element
     G, grid = case
     det = leibniz_det(G, grid)
     norm = nrd(GroupAlgebraMatrix.from_entries(G, grid))

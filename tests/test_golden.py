@@ -44,6 +44,11 @@ CASES = {
     "xi_q8": ["xi", "--group", "Q8", "--budget", '{"max_candidates": 2000}'],
     "annihilate_s3": ["annihilate", "--group", "S3", "--matrix", _in("s3_2x2.json"),
                       "--x", "order"],
+    "wedge_d4": ["wedge", "--group", "D4", "--elements", _in("d4_wedge_2x3.json")],
+    "pair_s3": ["pair", "--group", "S3", "--homs", _in("s3_pair_homs_1x3.json"),
+                "--elements", _in("s3_pair_elements_2x3.json")],
+    "pair_q8": ["pair", "--group", "Q8", "--homs", _in("q8_2x2.json"),
+                "--elements", _in("q8_2x2.json")],
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from grax.algebra import GroupAlgebraElement
 from grax.cyclotomic import CycloNum
-from grax.groups import group_from_catalog
+from grax.groups import _cyclic_table, _finish, _product_table, group_from_catalog
 from grax.reps import central_idempotent, contragredient, contragredient_permutation, irreps
 
 ONE = CycloNum.from_rational(1)
@@ -26,6 +26,15 @@ def test_q8_basic():
     G = group_from_catalog("Q8")
     assert G.order == 8 and G.exponent == 4
     assert sum(1 for g in range(8) if G.element_order(g) == 4) == 6
+
+
+def test_groups_hash_on_their_label_and_compare_on_their_table():
+    a, b = (group_from_catalog.__wrapped__("S4") for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    # C4's label on the table of C2xC2
+    fake = _finish("C4", "C", (4,), _product_table(_cyclic_table(2), _cyclic_table(2)))
+    assert hash(fake) == hash(group_from_catalog("C4"))
+    assert fake != group_from_catalog("C4")
 
 
 def test_unknown_group_rejected():

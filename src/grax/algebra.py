@@ -7,16 +7,16 @@ Galois-consistency invariant (values at sigma-conjugate characters are
 sigma-conjugate values) certifies that the tuple lies in the center of the
 rational group algebra, and every constructor checks it exactly.
 
-Blocks of matrices with rational coefficients are built on integers.
-Every catalog model is integral, so each IrreducibleRep holds rho(g) as
-power-basis integer vectors at its conductor n (`images`).  A matrix's
-rows are cleared of denominators once (cleared_rows), and its block at a
-character is one integer sum per entry (int_block); this is the one block
-builder for rational input, and wedderburn_block is its CycloNum view.
-nrd takes each block's determinant by fraction-free Bareiss elimination
-over Z[zeta_n] (cyclotomic.det_int), whose exact divisions multiply by
-the other Galois conjugates of the previous pivot and divide by its
-integer norm.  Only coefficients outside Q go through rep_of_element.
+Matrices take rational coefficients, and their blocks are built on
+integers.  Every catalog model is integral, so each IrreducibleRep holds
+rho(g) as power-basis integer vectors at its conductor n (`images`).  A
+matrix's rows are cleared of denominators once by cleared_rows, the one
+place that refuses a coefficient outside Q (ValueError), and its block at
+a character is one integer sum per entry (int_block); wedderburn_block is
+its CycloNum view.  nrd takes each block's determinant by fraction-free
+Bareiss elimination over Z[zeta_n] (cyclotomic.det_int), whose exact
+divisions multiply by the other Galois conjugates of the previous pivot
+and divide by its integer norm.
 """
 
 from __future__ import annotations
@@ -219,27 +219,6 @@ class GroupAlgebraMatrix:
 
 # -- Wedderburn isomorphism -------------------------------------------------
 
-def rep_of_element(x: GroupAlgebraElement, rep: IrreducibleRep):
-    """The matrix sum(coeff_g * rho(g)) over the splitting field."""
-    c = rep.degree
-    if c == 1:
-        acc = ZERO
-        for g, a in enumerate(x.coeffs):
-            if not a.is_zero():
-                acc = acc + a * rep.matrices[g][0][0]
-        return [[acc]]
-    out = [[ZERO] * c for _ in range(c)]
-    for g, a in enumerate(x.coeffs):
-        if a.is_zero():
-            continue
-        m = rep.matrices[g]
-        for i in range(c):
-            for j in range(c):
-                if not m[i][j].is_zero():
-                    out[i][j] = out[i][j] + a * m[i][j]
-    return out
-
-
 def wedderburn(x: GroupAlgebraElement):
     """Per-character image of x under E[G] -> prod M_deg(E)."""
     M = GroupAlgebraMatrix.from_entries(x.group, [[x]])
@@ -250,10 +229,14 @@ def cleared_rows(grid):
     """A grid of rational group-algebra elements with each row cleared of
     denominators once: (rows, dens), where rows[u][v] lists the nonzero
     (label, integer coefficient) pairs of dens[u] times entry (u, v) and
-    dens[u] is the lcm of row u's coefficient denominators."""
+    dens[u] is the lcm of row u's coefficient denominators.  A coefficient
+    outside Q puts 0, never a denominator, in the set and is refused."""
     rows, dens = [], []
     for row in grid:
-        d = math.lcm(*{c.den for e in row for c in e.coeffs})
+        found = {c.den if c.n == 1 or not any(c.num[1:]) else 0 for e in row for c in e.coeffs}
+        if 0 in found:
+            raise ValueError("group-ring matrices are taken here with rational coefficients")
+        d = math.lcm(*found)
         rows.append([[(g, c.num[0] * (d // c.den)) for g, c in enumerate(e.coeffs) if c]
                      for e in row])
         dens.append(d)
@@ -289,29 +272,21 @@ def block_det(rep: IrreducibleRep, blk, dens) -> CycloNum:
                           math.prod(dens) ** rep.degree)
 
 
-def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
-    """The (rows*deg) x (cols*deg) splitting-field matrix of M at one character.
-
-    For rational coefficients this is the integer block of the cleared
-    rows over their denominators; other coefficients sum their rho(g)
-    over the splitting field."""
-    rep = irreps(M.group)[chi]
+def _field_view(rep: IrreducibleRep, blk, dens):
+    """The CycloNum entries of an integer block whose rows were cleared by
+    dens, one per row of the matrix."""
     c = rep.degree
-    if M.is_rational():
-        rows, dens = cleared_rows(M.entries)
-        return [[cyclo_from_int(rep.conductor, v, dens[U // c]) for v in brow]
-                for U, brow in enumerate(int_block(rows, rep))]
-    out = [[ZERO] * (M.cols * c) for _ in range(M.rows * c)]
-    for u in range(M.rows):
-        for v in range(M.cols):
-            e = M.entries[u][v]
-            if e.is_zero():
-                continue
-            blk = rep_of_element(e, rep)
-            for i in range(c):
-                for j in range(c):
-                    out[u * c + i][v * c + j] = blk[i][j]
-    return out
+    return [[cyclo_from_int(rep.conductor, v, dens[U // c]) for v in brow]
+            for U, brow in enumerate(blk)]
+
+
+def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
+    """The (rows*deg) x (cols*deg) splitting-field matrix of M at one
+    character: the integer block of the cleared rows over their
+    denominators."""
+    rep = irreps(M.group)[chi]
+    rows, dens = cleared_rows(M.entries)
+    return _field_view(rep, int_block(rows, rep), dens)
 
 
 def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
@@ -551,23 +526,19 @@ def nrd(M: GroupAlgebraMatrix) -> CentralElement:
     """
     if M.rows != M.cols:
         raise ValueError("reduced norm needs a square matrix")
-    if not M.is_rational():
-        raise ValueError("reduced norm is defined here for rational coefficients")
     rows, dens = cleared_rows(M.entries)
     values = tuple(block_det(rep, int_block(rows, rep), dens) for rep in irreps(M.group))
     out = CentralElement(M.group, values)
-    if M.is_integral() and not out.is_integral():
+    if all(d == 1 for d in dens) and not out.is_integral():
         raise AssertionError("reduced norm of an integral matrix must be integral")
     return out
 
 
 def nrd_op(M: GroupAlgebraMatrix) -> CentralElement:
-    """Reduced norm of M viewed over the opposite algebra (blockwise transpose)."""
-    if M.rows != M.cols:
-        raise ValueError("reduced norm needs a square matrix")
-    values = tuple(linalg.mat_det(wedderburn_block_op(M, i))
-                   for i in range(len(irreps(M.group))))
-    return CentralElement(M.group, values)
+    """Reduced norm of M viewed over the opposite algebra (blockwise
+    transpose): the block of M at chi with its sub-blocks transposed is the
+    block of the entrywise involute at the contragredient of chi."""
+    return nrd(M.involute_entries()).hash_involution()
 
 
 def nrd_element(x: GroupAlgebraElement) -> CentralElement:
@@ -579,19 +550,16 @@ def adjoint_star(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
     exactly at the characters where the reduced norm vanishes."""
     if M.rows != M.cols:
         raise ValueError("generalized adjoint needs a square matrix")
-    if not M.is_rational():
-        raise ValueError("generalized adjoint is defined here for rational coefficients")
     G = M.group
-    reps = irreps(G)
+    rows, dens = cleared_rows(M.entries)
     blocks = []
-    for chi, rep in enumerate(reps):
-        blk = wedderburn_block(M, chi)
-        det = linalg.mat_det(blk)
-        n = len(blk)
+    for rep in irreps(G):
+        blk = int_block(rows, rep)
+        det = block_det(rep, blk, dens)
         if det.is_zero():
-            blocks.append([[ZERO] * n for _ in range(n)])
+            blocks.append([[ZERO] * len(blk) for _ in blk])
         else:
-            inv = linalg.mat_inverse(blk)
+            inv = linalg.mat_inverse(_field_view(rep, blk, dens))
             blocks.append([[det * e for e in row] for row in inv])
     star = matrix_from_blocks(G, M.rows, M.cols, blocks)
     if not star.is_rational():

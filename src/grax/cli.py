@@ -276,11 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", help="JSON budget overrides (or @file)")
 
     p = sub.add_parser("group", help="catalog group data")
+    common(p, group=False)
     p.add_argument("--name", required=True)
     p.add_argument("--params", type=int, nargs="*")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("nrd", help="reduced norm of a square matrix")

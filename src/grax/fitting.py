@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
+from grax.algebra import (ZERO, CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, block_det, class_product, cleared_rows, int_block,
                           nrd)
 from grax.cyclotomic import CycloNum
@@ -379,8 +379,6 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
             rows += ([vec[k] for k in t] for t in translates)
         prov = (f"Fit^{a} of {d_}x{d}: {len(minors)} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
-    if not M.is_rational():
-        raise ValueError("reduced norm is defined here for rational coefficients")
     # each character's block of [M | pool] once; a minor's block selects
     # its rows and columns, deg block rows and columns each
     cleared, dens = cleared_rows(wide)
@@ -468,8 +466,6 @@ def _leibniz_int(G: FiniteGroup, grid):
     integer vectors over the multiplication table; a permutation stops at
     its first zero entry."""
     table = G.mul_table
-    if not all(c.is_rational() for row in grid for e in row for c in e.coeffs):
-        raise ValueError("the Leibniz determinant is defined here for rational coefficients")
     rows, dens = cleared_rows(grid)
     den = math.prod(dens)
     acc = [0] * G.order
@@ -500,7 +496,6 @@ def char_value(rep, x: GroupAlgebraElement):
             continue
         term = c * rep.character[g]
         acc = term if acc is None else acc + term
-    from grax.linalg import ZERO
     return acc if acc is not None else ZERO
 
 
@@ -531,19 +526,16 @@ def regular_int_rows(M: GroupAlgebraMatrix):
     j*|G| + k is the coefficient of label k in slot j."""
     G = M.group
     n = G.order
+    cleared, dens = cleared_rows(M.entries)
+    if any(d != 1 for d in dens):
+        raise ValueError("integral matrix required")
     rows = []
-    for t in range(M.rows):
+    for entries in cleared:
         for g in range(n):
             vec = [0] * (M.cols * n)
-            for j in range(M.cols):
-                for h, c in enumerate(M.entries[t][j].coeffs):
-                    if c:
-                        if not c.is_rational():
-                            raise ValueError("the regular representation is defined here "
-                                             "for rational coefficients")
-                        if c.den != 1:
-                            raise ValueError("integral matrix required")
-                        vec[j * n + G.mul(g, h)] += c.num[0]
+            for j, entry in enumerate(entries):
+                for h, c in entry:
+                    vec[j * n + G.mul(g, h)] += c
             rows.append(vec)
     return rows
 

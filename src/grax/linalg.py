@@ -8,9 +8,9 @@ zero with `not x` (and skips the row operations on a zero entry) and
 inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.
 
-`mat_det` is the field determinant of `adjoint_star`, `nrd_op` and
-`grax.detfun`, and the oracle the tests hold `nrd` to; `nrd` itself takes
-fraction-free determinants of integer blocks (`cyclotomic.det_int`).
+`mat_det` is the field determinant of `detfun.two_term_nrd` and the
+oracle the tests hold `nrd` and `nrd_op` to; reduced norms and adjoints
+take fraction-free determinants of integer blocks (`cyclotomic.det_int`).
 """
 
 from __future__ import annotations

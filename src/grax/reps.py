@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grax.cyclotomic import CycloNum
+from grax.cyclotomic import CycloNum, cyclo_from_int
 from grax.groups import FiniteGroup, perm_elements_of, perm_sign
 from grax.linalg import mat_mul
 
@@ -34,8 +34,8 @@ class IrreducibleRep:
 
     Every catalog model is integral, so each rho(g) is also held as
     integers: images[g] lists, row by row, the power-basis coordinates of
-    its entries at the conductor (the lcm of the entries' conductors),
-    euler_phi(conductor) ints per entry.
+    its entries at the conductor (the lcm of the entries' conductors, with
+    rational entries at conductor 1), euler_phi(conductor) ints per entry.
     """
 
     group: FiniteGroup
@@ -65,6 +65,9 @@ def _trace(m: Matrix) -> CycloNum:
 
 
 def _make_rep(G: FiniteGroup, mats: list[Matrix]) -> IrreducibleRep:
+    # a rational entry goes to conductor 1, so it does not raise the conductor
+    mats = [tuple(tuple(cyclo_from_int(e.n, e.num, e.den) for e in row) for row in m)
+            for m in mats]
     deg = len(mats[0])
     for a in range(G.order):
         for b in range(G.order):

@@ -1,16 +1,21 @@
 """Integer Wedderburn blocks and their fraction-free determinants, checked
-against the splitting-field path: blocks summed through rep_of_element and
-determinants by linalg.mat_det."""
+against the splitting field: blocks summed from the CycloNum matrices of
+each representation (rep_of_element) and determinants by linalg.mat_det.
+Also the one boundary of the block path: a coefficient outside Q is refused
+everywhere with the same ValueError."""
 
 import functools
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax.algebra import GroupAlgebraElement, GroupAlgebraMatrix, nrd, rep_of_element
+from grax.algebra import (GroupAlgebraElement, GroupAlgebraMatrix, adjoint_star, gam_inverse,
+                          nrd, nrd_op, wedderburn_block)
 from grax.cyclotomic import CycloNum, det_int, euler_phi
-from grax.fitting import Budget, fit_matrix, lattice_from_central, xi_approx
+from grax.fitting import (Budget, fit_matrix, lattice_from_central, leibniz_det,
+                          regular_int_rows, xi_approx)
 from grax.groups import group_from_catalog
 from grax.linalg import mat_det
 from grax.reps import irreps
@@ -71,6 +76,19 @@ def _rational_matrices(draw):
     return GroupAlgebraMatrix.from_entries(G, grid)
 
 
+def rep_of_element(x, rep):
+    """The matrix sum(coeff_g * rho(g)) over the splitting field, from the
+    CycloNum matrices of rep (not its integer images)."""
+    c = rep.degree
+    out = [[CycloNum.from_rational(0)] * c for _ in range(c)]
+    for a, m in zip(x.coeffs, rep.matrices):
+        if a:
+            for i in range(c):
+                for j in range(c):
+                    out[i][j] = out[i][j] + a * m[i][j]
+    return out
+
+
 def _field_block(M, rep):
     """The block of M at rep over the splitting field, one rep_of_element
     per entry."""
@@ -90,6 +108,40 @@ def test_nrd_is_the_field_determinant_of_each_block(M):
     values = nrd(M).values
     for rep, value in zip(irreps(M.group), values):
         assert value == mat_det(_field_block(M, rep))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rational_matrices())
+def test_nrd_op_is_the_field_determinant_of_each_transposed_block(M):
+    # the opposite-algebra block: each deg x deg sub-block transposed in place
+    for rep, value in zip(irreps(M.group), nrd_op(M).values):
+        c, blk = rep.degree, _field_block(M, rep)
+        op = [[blk[U - U % c + V % c][V - V % c + U % c] for V in range(len(blk))]
+              for U in range(len(blk))]
+        assert value == mat_det(op)
+
+
+def _zeta4_matrix(name):
+    G = group_from_catalog(name)
+    zeta = GroupAlgebraElement.basis(G, 0, CycloNum.zeta(4))
+    return GroupAlgebraMatrix.from_entries(G, [[zeta]])
+
+
+@pytest.mark.parametrize("name, compute", [
+    ("Q8", lambda M: wedderburn_block(M, 4)),
+    ("Q8", nrd),
+    ("Q8", nrd_op),
+    ("Q8", adjoint_star),
+    ("Q8", gam_inverse),
+    ("C4", lambda M: fit_matrix(M, 0)),
+    ("Q8", lambda M: fit_matrix(M, 0, Budget(max_matrix_size=1))),
+    ("C4", lambda M: leibniz_det(M.group, M.entries)),
+    ("Q8", regular_int_rows),
+], ids=["wedderburn_block", "nrd", "nrd_op", "adjoint_star", "gam_inverse", "fit_matrix-C4",
+        "fit_matrix-Q8", "leibniz_det", "regular_int_rows"])
+def test_non_rational_coefficient_is_refused(name, compute):
+    with pytest.raises(ValueError, match="rational coefficients"):
+        compute(_zeta4_matrix(name))
 
 
 @functools.cache

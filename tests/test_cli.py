@@ -307,7 +307,18 @@ _C4_ZETA = {"n": 4, "coeffs": ["0", "1"]}
      "--element", json.dumps({"entries": [[{"0": "2", "1": "2", "2": "-2", "3": "-2"},
                                            {"0": "2", "1": "-2", "2": "-2", "3": "2"}]]}),
      "--gens", json.dumps({"entries": [[{"0": _C4_ZETA}, {}], [{}, {"0": "2"}]]})],
-], ids=["adjoint", "det-free", "fit", "fit-nonabelian", "rubin-gens"])
+    ["pair", "--group", "Q8", "--homs", json.dumps({"entries": [[{"0": _C4_ZETA}]]}),
+     "--elements", json.dumps({"entries": [[{"0": "1"}]]})],
+    ["wedge", "--group", "C4",
+     "--elements", json.dumps({"entries": [[{"0": _C4_ZETA}, {"1": "1"}]]})],
+    ["epsilon", "--group", "C4",
+     "--matrix", json.dumps({"entries": [[{"0": _C4_ZETA}], [{"0": "1"}]]})],
+    ["det", "--group", "C4", "--op", "ses",
+     "--theta", json.dumps({"entries": [[{"0": _C4_ZETA}, {}]]}),
+     "--phi", json.dumps({"entries": [[{}], [{"0": "1"}]]}),
+     "--section", json.dumps({"entries": [[{}, {"0": "1"}]]})],
+], ids=["adjoint", "det-free", "fit", "fit-nonabelian", "rubin-gens", "pair", "wedge", "epsilon",
+        "det-ses"])
 def test_non_rational_matrix_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -450,7 +450,8 @@ def _abelian_grids(draw):
 def test_leibniz_det_matches_nrd_character_by_character(case):
     # nrd takes each character's determinant by Bareiss elimination on its
     # integer block, so it shares only the row clearing (cleared_rows) with
-    # the Leibniz expansion; test_blocks checks that against rep_of_element
+    # the Leibniz expansion; test_blocks checks nrd against field
+    # determinants of blocks summed from the representation matrices
     G, grid = case
     det = leibniz_det(G, grid)
     norm = nrd(GroupAlgebraMatrix.from_entries(G, grid))

@@ -37,6 +37,14 @@ def test_groups_hash_on_their_label_and_compare_on_their_table():
     assert fake != group_from_catalog("C4")
 
 
+@pytest.mark.parametrize("name", ["C12", "C3xC4"])
+def test_rational_characters_sit_at_conductor_one(name):
+    # the trivial and the order-2 character; the others keep conductor 12
+    conductors = [(all(v.is_rational() for v in r.character), r.conductor)
+                  for r in irreps(group_from_catalog(name))]
+    assert sorted(conductors) == [(False, 12)] * 10 + [(True, 1)] * 2
+
+
 def test_unknown_group_rejected():
     with pytest.raises(ValueError):
         group_from_catalog("E8")

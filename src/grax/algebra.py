@@ -5,7 +5,10 @@ The splitting field is Q(zeta_e) with e the group exponent.  A central
 element is stored as its tuple of values at the catalog irreducibles; the
 Galois-consistency invariant (values at sigma-conjugate characters are
 sigma-conjugate values) certifies that the tuple lies in the center of the
-rational group algebra, and every constructor checks it exactly.
+rational group algebra, and every constructor checks it exactly.  Central
+lattices live in class-sum coordinates.  One cached character table, its
+entries as power-basis integer vectors at e (_class_table), links the two:
+coords and from_coords are integer sums over it for every group.
 
 Matrices take rational coefficients, and their blocks are built on
 integers.  Every catalog model is integral, so each IrreducibleRep holds
@@ -22,12 +25,14 @@ and divide by its integer norm.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from grax import linalg
-from grax.cyclotomic import CycloNum, cyclo_from_int, det_int
+from grax.cyclotomic import CycloNum, _reduce_poly, cyclo_from_int, det_int, euler_phi
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
@@ -352,8 +357,7 @@ class CentralElement:
     def __post_init__(self):
         if len(self.values) != len(irreps(self.group)):
             raise ValueError("one value per irreducible character required")
-        defect = galois_defect(self.group, self.values)
-        if defect:
+        if defect := galois_defect(self.group, self.values):
             raise AssertionError(defect)
 
     @staticmethod
@@ -362,8 +366,7 @@ class CentralElement:
 
     @staticmethod
     def from_rational(G: FiniteGroup, q) -> "CentralElement":
-        v = _as_cyclo(q)
-        return CentralElement(G, (v,) * len(irreps(G)))
+        return CentralElement(G, (_as_cyclo(q),) * len(irreps(G)))
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
@@ -394,48 +397,45 @@ class CentralElement:
     def coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the conjugacy-class-sum basis of the rational center:
         at each class representative g, sum_chi v_chi chi(1) chi(g^-1) / |G|."""
-        G = self.group
-        table = _rational_class_table(G)
-        if table is not None and all(v.is_rational() for v in self.values):
-            # one integer dot product per class over one common denominator
-            den = math.lcm(*(v.den for v in self.values))
-            nums = [v.num[0] * (den // v.den) for v in self.values]
-            den *= G.order
-            return tuple(Fraction(sum(a * b for a, b in zip(nums, row)), den)
-                         for row in table)
-        reps = irreps(G)
-        out = []
+        G, e = self.group, self.group.exponent
+        # a rational value is its constant term alone, at any conductor
+        lifted = [v if v.is_rational() else v.lift(e) for v in self.values]
+        den = math.lcm(*(v.den for v in lifted))
+        # column i lists the i-th power-basis coordinate of each den chi(1) v_chi
+        columns = list(itertools.zip_longest(*([c * rep.degree * (den // v.den) for c in v.num]
+                                               for rep, v in zip(irreps(G), lifted)), fillvalue=0))
+        table, out = _class_table(G), []
         for cls in G.conjugacy_classes:
-            g = cls[0]
-            acc = ZERO
-            for rep, v in zip(reps, self.values):
-                acc = acc + v * rep.character[G.inv(g)] * rep.degree
-            acc = acc * Fraction(1, G.order)
-            if not acc.is_rational():
-                raise AssertionError("central element has non-rational class coordinates")
-            out.append(acc.as_rational())
+            conj = table[G.class_of[G.inverse[cls[0]]]]  # chi(g^-1)
+            acc = [0] * (len(columns) + len(conj) - 1)
+            for i, col in enumerate(columns):
+                for j, t in enumerate(conj):
+                    acc[i + j] += sum(map(operator.mul, col, t))
+            if len(acc) > 1:  # one coordinate is rational as it stands
+                acc = _reduce_poly(acc, e)
+                if any(acc[1:]):
+                    raise AssertionError("central element has non-rational class coordinates")
+            out.append(Fraction(acc[0], den * G.order))
         return tuple(out)
 
     @staticmethod
     def from_coords(G: FiniteGroup, coords) -> "CentralElement":
-        reps = irreps(G)
-        values = []
-        for rep in reps:
-            acc = ZERO
-            for cls, a in zip(G.conjugacy_classes, coords):
-                if a:
-                    acc = acc + rep.character[cls[0]] * (Fraction(a) * len(cls))
-            values.append(acc * Fraction(1, rep.degree))
-        return CentralElement(G, tuple(values))
+        """The element with class-sum coordinates a: sum_k a_k |C_k| chi(g_k) / chi(1)."""
+        table = _class_table(G)
+        coords = [Fraction(a) for a in coords]
+        den = math.lcm(*(a.denominator for a in coords))
+        acc = [[0] * len(irreps(G)) for _ in range(euler_phi(G.exponent))]
+        for cls, a, row in zip(G.conjugacy_classes, coords, table):
+            w = a.numerator * (den // a.denominator) * len(cls)
+            for j, col in enumerate(row):
+                acc[j] = [s + w * t for s, t in zip(acc[j], col)]
+        return CentralElement(G, tuple(cyclo_from_int(G.exponent, list(v), den * rep.degree)
+                                       for rep, v in zip(irreps(G), zip(*acc))))
 
     def to_group_algebra(self) -> GroupAlgebraElement:
-        G = self.group
         coords = self.coords()
-        coeffs = [ZERO] * G.order
-        for cls, a in zip(G.conjugacy_classes, coords):
-            for g in cls:
-                coeffs[g] = _as_cyclo(a)
-        return GroupAlgebraElement(G, tuple(coeffs))
+        return GroupAlgebraElement.from_coeffs(
+            self.group, [coords[k] for k in self.group.class_of])
 
     def is_integral(self) -> bool:
         """Componentwise integrality over Z (power-basis coordinates in Z)."""
@@ -453,17 +453,22 @@ class CentralElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _rational_class_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...] | None:
-    """Row k holds chi(1) chi(g_k^-1) for each character chi, with g_k the
-    representative of class k, when every such value is a rational integer;
-    None when some character is irrational."""
-    reps = irreps(G)
+def _class_table(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The character table over Z[zeta_e], e the group exponent: row k holds
+    chi(g_k) for every character chi, with g_k the representative of class
+    k, as power-basis integer vectors stored by coordinate: row[j][chi] is
+    the j-th coordinate of chi(g_k), and the trailing zero coordinates are
+    left out, so a row of rational values has one.  Every catalog character
+    is an algebraic integer; a value that is not is refused (AssertionError)."""
     table = []
     for cls in G.conjugacy_classes:
-        values = [rep.character[G.inv(cls[0])] for rep in reps]
-        if not all(v.is_rational() and v.den == 1 for v in values):
-            return None
-        table.append(tuple(rep.degree * v.num[0] for rep, v in zip(reps, values)))
+        values = [rep.character[cls[0]].lift(G.exponent) for rep in irreps(G)]
+        if not all(v.is_integral() for v in values):
+            raise AssertionError(f"{G.name}: a character value is not an algebraic integer")
+        row = list(zip(*(v.num for v in values)))
+        while not any(row[-1]):
+            row.pop()
+        table.append(tuple(row))
     return tuple(table)
 
 
@@ -483,12 +488,9 @@ def class_product(G: FiniteGroup, u, v) -> list:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _galois_trivial(G: FiniteGroup) -> bool:
-    """Whether every Galois automorphism of Q(zeta_e) fixes every character."""
-    e = G.exponent
-    return all(galois_permutation(G, a) == tuple(range(len(irreps(G))))
-               for a in range(2, e) if math.gcd(a, e) == 1)
+    """Whether every sigma_a fixes every character: every value is rational."""
+    return all(len(row) == 1 for row in _class_table(G))
 
 
 def galois_defect(G: FiniteGroup, values):
@@ -497,9 +499,8 @@ def galois_defect(G: FiniteGroup, values):
     that does not permute the values as it permutes the characters.  None
     when the tuple is consistent."""
     e = G.exponent
-    for v in values:
-        if e % v.n:
-            return "central value conductor does not divide the exponent"
+    if any(e % v.n for v in values):
+        return "central value conductor does not divide the exponent"
     # where every sigma_a fixes every character, consistency is rationality
     if _galois_trivial(G) and all(v.is_rational() for v in values):
         return None

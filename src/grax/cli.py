@@ -12,6 +12,7 @@ invariant failed (a minimized witness is printed), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -75,10 +76,9 @@ def _matrix_of(args, G, attr="matrix"):
     return serde.json_to_gam(obj, G)
 
 
-def _report(args, command, result, status="ok"):
-    doc = {"schema": SCHEMA, "command": command, "status": status, "result": result}
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
+def _report(args, command, result, status):
+    doc = {"schema": SCHEMA, "command": command, "status": status, "result": result,
+           "seed": args.seed}
     if not args.no_timestamp:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         if group:
             p.add_argument("--group", required=True, help="catalog name, e.g. S3, C6, D4")
             p.add_argument("--params", type=int, nargs="*", help="family parameters")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reports")
         p.add_argument("--out", help="also write the report to a file")
@@ -366,24 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
+    args = build_parser().parse_args(argv)
     try:
-        result = args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        result, status, code = args.fn(args), "pass", 0
     except MathFailure as exc:
-        _report(args, args.command, {"error": str(exc), "witness": exc.witness},
-                status="fail")
-        return 1
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+        result, status, code = {"error": str(exc), "witness": exc.witness}, "fail", 1
+    except (UsageError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _report(args, args.command, result, status="pass")
-    return 0
+    try:
+        _report(args, args.command, result, status)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: keep the exit code, and point stdout at
+        # devnull so that the flush at exit finds no closed pipe
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Wedderburn isomorphism, reduced norms, generalized adjoints, involution."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -192,15 +193,6 @@ def test_transpose_identity_s3():
         assert nrd(M.transpose().involute_entries()) == hash_involution(nrd(M))
 
 
-def test_involution_alone_identity_via_opposite_norm():
-    from grax.algebra import nrd_op
-    rng = random.Random(9)
-    G = group_from_catalog("S3")
-    for _ in range(20):
-        M = rand_gam(rng, G, 2, 2)
-        assert nrd_op(M.involute_entries()) == hash_involution(nrd(M))
-
-
 def test_reduced_rank_group_algebra():
     G = group_from_catalog("S3")
     assert reduced_rank(G, free_rank=1) == (1, 1, 2)
@@ -245,6 +237,17 @@ def test_rational_tuple_off_a_galois_orbit_refused(name):
     values[moved] = CycloNum.from_rational(2)
     with pytest.raises(AssertionError, match="Galois consistency fails"):
         CentralElement(G, tuple(values))
+
+
+def test_class_table_refuses_a_non_integral_character(monkeypatch):
+    # every catalog character is an algebraic integer; a halved one is not
+    from grax import algebra
+    G = group_from_catalog("C2")
+    trivial, sign = irreps(G)
+    bad = dataclasses.replace(sign, character=tuple(v * Fraction(1, 2) for v in sign.character))
+    monkeypatch.setattr(algebra, "irreps", lambda H: (trivial, bad))
+    with pytest.raises(AssertionError, match="not an algebraic integer"):
+        algebra._class_table.__wrapped__(G)
 
 
 def test_galois_consistency_enforced():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,23 @@ def test_cyclo_direct_convention_fails(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "fail"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["group", "--name", "S3"], 0),
+    (["cyclo", "--f", "5", "--ell", "2", "--convention", "direct"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, want, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(argv + ["--no-timestamp"]) == want
+    assert capsys.readouterr().err == ""
 
 
 def test_suite_determinism(capsys):

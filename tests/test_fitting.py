@@ -126,6 +126,17 @@ def test_xi_s4_covers_every_representative():
     assert xi.provenance == ("1x1 elements: support<=2 height<=1", "2x2 monomial matrices")
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D5", "D6", "S4"])
+def test_xi_contains_every_class_sum(name):
+    # zeta(Z[G]) lies in xi (Johnston-Nickel), but the closure is not seeded
+    # with the class sums; the monomial family reaches them on these groups
+    G = group_from_catalog(name)
+    xi = xi_approx(G)
+    classes = len(G.conjugacy_classes)
+    for k in range(classes):
+        assert xi.lattice.contains([xi.denominator * int(i == k) for i in range(classes)])
+
+
 def test_xi_truncated_budget_reports_counts():
     G = group_from_catalog("S3")
     xi = xi_approx(G, Budget(max_candidates=10))

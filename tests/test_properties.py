@@ -4,17 +4,19 @@ These complement the seeded suites: hypothesis explores the input space
 (including degenerate coefficient patterns) rather than fixed case counts.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          _rational_class_table, adjoint_star, class_product,
+                          _galois_trivial, adjoint_star, class_product,
                           hash_involution, nrd, wedderburn, wedderburn_inverse)
 from grax.cyclotomic import CycloNum
 from grax.groups import group_from_catalog
 from grax.linalg import ZERO, mat_mul
-from grax.reps import irreps
+from grax.reps import galois_permutation, irreps
 
 GROUPS = ["C1", "C4", "C2xC3", "S3", "D4", "Q8"]
 
@@ -119,7 +121,7 @@ def test_class_product_is_the_group_ring_product(case):
 
 
 RATIONAL_TABLE = ["S3", "D4", "Q8", "S4"]
-IRRATIONAL_TABLE = ["A4", "C12", "D5"]
+IRRATIONAL_TABLE = ["A4", "C12", "D5", "C5", "C8", "C2xC3"]
 
 
 @st.composite
@@ -147,9 +149,22 @@ def test_coords_is_fourier_inversion(x):
     assert [CycloNum.from_rational(c) for c in x.coords()] == want
 
 
-def test_integer_class_table_exactly_for_rational_characters():
+def test_galois_trivial_exactly_on_rational_character_tables():
+    # oracle: the Galois action on the characters themselves
     for name in RATIONAL_TABLE + IRRATIONAL_TABLE:
         G = group_from_catalog(name)
-        rational = all(c.is_rational() for rep in irreps(G) for c in rep.character)
-        assert rational == (name in RATIONAL_TABLE)
-        assert (_rational_class_table(G) is None) == (not rational)
+        e = G.exponent
+        fixed = all(galois_permutation(G, a) == tuple(range(len(irreps(G))))
+                    for a in range(2, e) if math.gcd(a, e) == 1)
+        assert _galois_trivial(G) == fixed == (name in RATIONAL_TABLE)
+
+
+@pytest.mark.parametrize("name", ["Q8", "C5"])
+def test_coords_refuses_a_galois_inconsistent_tuple(name):
+    # the constructor would refuse these values, so they are placed past it
+    G = group_from_catalog(name)
+    x = CentralElement.one(G)
+    values = (CycloNum.zeta(G.exponent),) + (CycloNum.from_rational(0),) * (len(x.values) - 1)
+    object.__setattr__(x, "values", values)
+    with pytest.raises(AssertionError, match="non-rational class coordinates"):
+        x.coords()

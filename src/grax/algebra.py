@@ -20,6 +20,20 @@ its CycloNum view.  nrd takes each block's determinant by fraction-free
 Bareiss elimination over Z[zeta_n] (cyclotomic.det_int), whose exact
 divisions multiply by the other Galois conjugates of the previous pivot
 and divide by its integer norm.
+
+Generalized adjoints and inverses run on the same integers.  The
+Gauss-Jordan form of that elimination (cyclotomic.det_adj_int) takes a
+cleared block B with its row denominators D to det(B) and adj(B) without
+fractions: M* is adj(B) D / det(D) at each character, zero where
+det(B) = 0, and M^-1 is adj(B) D / det(B), a division by the norm of
+det(B).  The library has one Fourier inversion, _fourier_int: coefficient
+g is (1/|G|) sum_chi chi(1) tr(A_chi rho_chi(g^-1)) over the integer
+images, each character's products lifted unreduced to the exponent e over
+one common denominator and reduced once mod Phi_e.  adjoint_star and
+gam_inverse read it directly, with a non-rational coefficient refused
+(AssertionError); delta_check reads M* as an integer grid over one
+denominator (_adjoint_int); matrix_from_blocks and wedderburn_inverse are
+its CycloNum views.
 """
 
 from __future__ import annotations
@@ -31,8 +45,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grax import linalg
-from grax.cyclotomic import CycloNum, _reduce_poly, cyclo_from_int, det_int, euler_phi
+from grax.cyclotomic import (CycloNum, _conjugates_and_norm, _mul_int, _reduce_poly,
+                             cyclo_from_int, det_adj_int, det_int, euler_phi)
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
@@ -277,21 +291,14 @@ def block_det(rep: IrreducibleRep, blk, dens) -> CycloNum:
                           math.prod(dens) ** rep.degree)
 
 
-def _field_view(rep: IrreducibleRep, blk, dens):
-    """The CycloNum entries of an integer block whose rows were cleared by
-    dens, one per row of the matrix."""
-    c = rep.degree
-    return [[cyclo_from_int(rep.conductor, v, dens[U // c]) for v in brow]
-            for U, brow in enumerate(blk)]
-
-
 def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
     """The (rows*deg) x (cols*deg) splitting-field matrix of M at one
     character: the integer block of the cleared rows over their
     denominators."""
     rep = irreps(M.group)[chi]
     rows, dens = cleared_rows(M.entries)
-    return _field_view(rep, int_block(rows, rep), dens)
+    return [[cyclo_from_int(rep.conductor, v, dens[U // rep.degree]) for v in brow]
+            for U, brow in enumerate(int_block(rows, rep))]
 
 
 def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
@@ -305,44 +312,105 @@ def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
 
 def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
     """Two-sided inverse of wedderburn: Fourier inversion of a block tuple."""
-    reps = irreps(G)
-    if len(blocks) != len(reps):
-        raise ValueError("block count must match the number of irreducibles")
-    for rep, b in zip(reps, blocks):
-        if len(b) != rep.degree or any(len(r) != rep.degree for r in b):
-            raise ValueError("block shape mismatch with irreducible degrees")
-    coeffs = []
-    inv_order = Fraction(1, G.order)
-    for g in range(G.order):
-        acc = ZERO
-        for rep, b in zip(reps, blocks):
-            m = rep.matrices[G.inv(g)]
-            c = rep.degree
-            tr = ZERO
-            for i in range(c):
-                for j in range(c):
-                    if not b[i][j].is_zero() and not m[j][i].is_zero():
-                        tr = tr + b[i][j] * m[j][i]
-            acc = acc + tr * rep.degree
-        coeffs.append(acc * inv_order)
-    return GroupAlgebraElement(G, tuple(coeffs))
+    return matrix_from_blocks(G, 1, 1, blocks).entries[0][0]
 
 
 def matrix_from_blocks(G: FiniteGroup, rows: int, cols: int, blocks) -> GroupAlgebraMatrix:
-    """Reassemble a group-algebra matrix from its per-character block images."""
+    """Reassemble a group-algebra matrix from its per-character block images:
+    the CycloNum view of _fourier_int, each block over one denominator at
+    the conductor of its entries."""
     reps = irreps(G)
-    grid = []
-    for u in range(rows):
+    if len(blocks) != len(reps):
+        raise ValueError("block count must match the number of irreducibles")
+    ints = []
+    for rep, b in zip(reps, blocks):
+        c = rep.degree
+        if len(b) != rows * c or any(len(r) != cols * c for r in b):
+            raise ValueError("block shape mismatch with irreducible degrees")
+        k = math.lcm(1, *(x.n for r in b for x in r))
+        lifted = [[x.lift(k) for x in r] for r in b]
+        den = math.lcm(1, *(x.den for r in lifted for x in r))
+        ints.append(([[[v * (den // x.den) for v in x.num] for x in r] for r in lifted], den, k))
+    m = math.lcm(G.exponent, *(k for _, _, k in ints))
+    entries, den = _fourier_int(G, rows, cols, ints, m)
+    return GroupAlgebraMatrix.from_entries(
+        G, [[GroupAlgebraElement(G, tuple(cyclo_from_int(m, v, den) for v in e)) for e in row]
+            for row in entries])
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_columns(G: FiniteGroup):
+    """Per character, the integer images of rho(g^-1) read across g: column
+    k lists coordinate k of the flattened images[g^-1] for every label g."""
+    return tuple(tuple(zip(*(rep.images[G.inv(g)] for g in range(G.order))))
+                 for rep in irreps(G))
+
+
+def _fourier_int(G: FiniteGroup, rows: int, cols: int, blocks, m: int):
+    """Fourier inversion on integers.  blocks[chi] is None for a zero block
+    or (grid, den, k): the block at chi is grid/den, a (rows*deg) x
+    (cols*deg) grid of power-basis integer vectors at conductor k, with den
+    a nonzero integer and k | m.  Coefficient g of entry (u, v) is
+    (1/|G|) sum_chi chi(1) tr(A_chi rho_chi(g^-1)), with A_chi the
+    sub-block of entry (u, v).
+
+    Each character's products are summed unreduced, lifted to conductor m
+    (zeta_k = zeta_m^(m/k), and likewise for the images at the
+    representation's conductor) over one common denominator, and reduced
+    once mod Phi_m.  Returns (entries, den): entries[u][v][g] is the
+    coefficient times den as a power-basis integer vector at m, of length 1
+    where it is rational before the reduction."""
+    L = math.lcm(1, *(abs(b[1]) for b in blocks if b is not None))
+    acc = [[{} for _ in range(cols)] for _ in range(rows)]  # exponent mod m -> list over g
+    for rep, columns, blk in zip(irreps(G), _inverse_columns(G), blocks):
+        if blk is None:
+            continue
+        grid, den, k = blk
+        c, w = rep.degree, rep.degree * (L // den)
+        d = len(columns) // (c * c)
+        sa, sr = m // k, m // rep.conductor
+        for U, brow in enumerate(grid):
+            u, i = divmod(U, c)
+            for V, a in enumerate(brow):
+                v, j = divmod(V, c)
+                slots, base = acc[u][v], (j * c + i) * d  # rho(g^-1)_ji
+                for s, x in enumerate(a):
+                    if not x:
+                        continue
+                    x *= w
+                    for t in range(d):
+                        key = (s * sa + t * sr) % m
+                        cur = slots.get(key)
+                        col = columns[base + t]
+                        slots[key] = ([p + x * q for p, q in zip(cur, col)] if cur
+                                      else [x * q for q in col])
+    out = []
+    for arow in acc:
         row = []
-        for v in range(cols):
-            entry_blocks = []
-            for rep, b in zip(reps, blocks):
-                c = rep.degree
-                entry_blocks.append([[b[u * c + i][v * c + j] for j in range(c)]
-                                     for i in range(c)])
-            row.append(wedderburn_inverse(G, entry_blocks))
-        grid.append(row)
-    return GroupAlgebraMatrix.from_entries(G, grid)
+        for slots in arow:
+            if not slots.keys() - {0}:
+                row.append([[x] for x in slots.get(0, [0] * G.order)])
+                continue
+            coeffs = []
+            for g in range(G.order):
+                vec = [0] * m
+                for key, vals in slots.items():
+                    vec[key] = vals[g]
+                coeffs.append(_reduce_poly(vec, m))
+            row.append(coeffs)
+        out.append(row)
+    return out, L * G.order
+
+
+def _fourier_rational(G: FiniteGroup, rows: int, cols: int, blocks):
+    """_fourier_int at the exponent for blocks whose inversion lies in
+    Q[G]: (grid, den) with grid[u][v] the integer coefficient list of
+    den times entry (u, v).  A non-rational coefficient raises
+    AssertionError."""
+    entries, den = _fourier_int(G, rows, cols, blocks, G.exponent)
+    if any(any(v[1:]) for row in entries for e in row for v in e):
+        raise AssertionError("a Fourier inversion failed to descend to Q[G]")
+    return [[[v[0] for v in e] for e in row] for row in entries], den
 
 
 # -- central elements --------------------------------------------------------
@@ -546,26 +614,47 @@ def nrd_element(x: GroupAlgebraElement) -> CentralElement:
     return nrd(GroupAlgebraMatrix.from_entries(x.group, [[x]]))
 
 
+def _block_adjugates(M: GroupAlgebraMatrix):
+    """Per character, (det, adj): the determinant of the integer block B of
+    the cleared rows, and adj(B) D, with D the diagonal of the row
+    denominators (column V of adj(B) times the denominator of row V), or
+    None where det = 0; and prod(dens), so that det(D) = prod(dens)^deg.
+    The field block is A = D^-1 B, so det(A) A^-1 = adj(B) D / det(D) and
+    A^-1 = adj(B) D / det(B)."""
+    rows, dens = cleared_rows(M.entries)
+    out = []
+    for rep in irreps(M.group):
+        c = rep.degree
+        det, adj = det_adj_int(int_block(rows, rep), rep.conductor)
+        if adj is not None and any(d != 1 for d in dens):
+            adj = [[[x * dens[V // c] for x in v] for V, v in enumerate(row)] for row in adj]
+        out.append((det, adj))
+    return out, math.prod(dens)
+
+
+def _adjoint_int(M: GroupAlgebraMatrix):
+    """M* as (grid, den): grid[u][v] lists the integer coefficients of den
+    times entry (u, v).  Its block at chi is adj(B) D / prod(dens)^deg, and
+    zero where det B = 0."""
+    if M.rows != M.cols:
+        raise ValueError("generalized adjoint needs a square matrix")
+    parts, p = _block_adjugates(M)
+    return _fourier_rational(M.group, M.rows, M.cols,
+                             [None if adj is None else (adj, p ** rep.degree, rep.conductor)
+                              for rep, (_, adj) in zip(irreps(M.group), parts)])
+
+
+def _rational_matrix(G: FiniteGroup, grid, den: int) -> GroupAlgebraMatrix:
+    """The matrix over Q[G] with entry (u, v) = grid[u][v] / den."""
+    return GroupAlgebraMatrix.from_entries(
+        G, [[GroupAlgebraElement(G, tuple(cyclo_from_int(1, [x], den) for x in e)) for e in row]
+            for row in grid])
+
+
 def adjoint_star(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix:
     """The generalized adjoint M*: M M* = M* M = nrd(M) I, with zero blocks
     exactly at the characters where the reduced norm vanishes."""
-    if M.rows != M.cols:
-        raise ValueError("generalized adjoint needs a square matrix")
-    G = M.group
-    rows, dens = cleared_rows(M.entries)
-    blocks = []
-    for rep in irreps(G):
-        blk = int_block(rows, rep)
-        det = block_det(rep, blk, dens)
-        if det.is_zero():
-            blocks.append([[ZERO] * len(blk) for _ in blk])
-        else:
-            inv = linalg.mat_inverse(_field_view(rep, blk, dens))
-            blocks.append([[det * e for e in row] for row in inv])
-    star = matrix_from_blocks(G, M.rows, M.cols, blocks)
-    if not star.is_rational():
-        raise AssertionError("generalized adjoint failed to descend to Q[G]")
-    return star
+    return _rational_matrix(M.group, *_adjoint_int(M))
 
 
 def hash_involution(x):
@@ -594,14 +683,17 @@ def reduced_rank(G: FiniteGroup, free_rank: int | None = None,
 
 
 def gam_inverse(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix | None:
-    """Inverse over Q[G] via per-character block inversion; None if singular."""
+    """Inverse over Q[G]: at each character M*_chi / nrd_chi(M), that is
+    adj(B) D conj / N with conj the product of the other Galois conjugates
+    of det(B) and N its norm; None where a reduced norm vanishes."""
     if M.rows != M.cols:
         raise ValueError("inverse needs a square matrix")
+    parts, _ = _block_adjugates(M)
     blocks = []
-    for chi in range(len(irreps(M.group))):
-        blk = wedderburn_block(M, chi)
-        inv = linalg.mat_inverse(blk) if blk else []
-        if inv is None:
+    for rep, (det, adj) in zip(irreps(M.group), parts):
+        if adj is None:
             return None
-        blocks.append(inv)
-    return matrix_from_blocks(M.group, M.rows, M.cols, blocks)
+        n = rep.conductor
+        conj, norm = _conjugates_and_norm(det, n)
+        blocks.append(([[_mul_int(v, conj, n) for v in row] for row in adj], norm, n))
+    return _rational_matrix(M.group, *_fourier_rational(M.group, M.rows, M.cols, blocks))

@@ -6,7 +6,8 @@ rationals as "p/q" strings, group elements as integer labels, matrices as
 byte-reproducible (suppress the timestamp with --no-timestamp).
 
 Exit codes: 0 success / all checks pass, 1 a mathematical relation or
-invariant failed (a minimized witness is printed), 2 usage error.
+invariant failed (a minimized witness is printed), 2 usage error, a report
+that cannot be written (to --out or to stdout) included.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def _matrix_of(args, G, attr="matrix"):
     return serde.json_to_gam(obj, G)
 
 
-def _report(args, command, result, status):
+def _report(args, command, result, status) -> str:
+    """The report's text; written to --out here, where a failure to write
+    it is an OSError that main turns into a usage error."""
     doc = {"schema": SCHEMA, "command": command, "status": status, "result": result,
            "seed": args.seed}
     if not args.no_timestamp:
@@ -85,7 +88,7 @@ def _report(args, command, result, status):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    return text
 
 
 # -- command handlers ---------------------------------------------------------
@@ -368,20 +371,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        result, status, code = args.fn(args), "pass", 0
-    except MathFailure as exc:
-        result, status, code = {"error": str(exc), "witness": exc.witness}, "fail", 1
-    except (UsageError, ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+        try:
+            result, status, code = args.fn(args), "pass", 0
+        except MathFailure as exc:
+            result, status, code = {"error": str(exc), "witness": exc.witness}, "fail", 1
+        text = _report(args, args.command, result, status)
+    # OSError: an @path that cannot be read or an --out that cannot be written
+    except (UsageError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _report(args, args.command, result, status)
+        print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: keep the exit code, and point stdout at
-        # devnull so that the flush at exit finds no closed pipe
+    except OSError as exc:
+        # point stdout at devnull, so that the flush at exit finds nothing
+        # left to write; a closed pipe (the reader has gone) keeps the exit
+        # code, any other failure is one line on stderr
         with contextlib.suppress(OSError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"usage error: cannot write the report to stdout: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -13,7 +13,8 @@ serialisation.  Inversion divides the product of the Galois conjugates by
 the (rational) norm; descent solves a linear system over Q on the
 elimination kernel in `grax.linalg`.  `det_int` is the determinant over
 Z[zeta_n] on bare integer vectors, by fraction-free elimination whose
-exact divisions use the same conjugate product and norm.
+exact divisions use the same conjugate product and norm; `det_adj_int`
+runs the same elimination in Gauss-Jordan form for the adjugate.
 """
 
 from __future__ import annotations
@@ -402,28 +403,31 @@ def galois_apply(a: int, x: CycloNum) -> CycloNum:
     return x.galois(a)
 
 
-def det_int(rows, n: int) -> list[int]:
-    """Determinant of a square matrix over Z[zeta_n] whose entries are
-    power-basis integer vectors (euler_phi(n) ints each), as such a vector.
+def _bareiss(rows, n: int, width: int, jordan: bool):
+    """Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968) of a
+    size x width matrix over Z[zeta_n], width >= size, whose entries are
+    power-basis integer vectors (plain ints where phi(n) = 1): step k
+    replaces each entry a_ij right of the pivot column, in every row below
+    the pivot b = a_kk (every row but the pivot's with jordan), by
+    (b a_ij - a_ik a_kj) / b', with b' the previous pivot.  Each quotient is
+    a minor, so it lies in Z[zeta_n], whose power basis is an integral
+    basis; it is taken as the product with the conjugates of b' and one
+    exact integer division by the norm of b', both set up once per step.
+    A remainder means a wrong quotient and raises AssertionError.
 
-    Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968): step k
-    replaces each entry a_ij below and right of the pivot b = a_kk by
-    (b a_ij - a_ik a_kj) / b', with b' the previous pivot, so the last
-    pivot is the determinant up to the sign of the row swaps.  Each
-    quotient lies in Z[zeta_n], whose power basis is an integral basis; it
-    is taken as the product with the conjugates of b' and one exact integer
-    division by the norm of b', both set up once per step.  A remainder
-    means a wrong quotient and raises AssertionError.  Where phi(n) = 1 the
-    ring is Z and the same steps run on plain ints.
+    Returns (rows, sign), sign that of the row swaps, so the last pivot p
+    is sign times the determinant of the leading size x size block B.  With
+    jordan the steps take [B | C] to [p I | p B^-1 C]; the entries of the
+    leading block left of each pivot are not written and not read.
+    Returns (None, 0) when B is singular.
     """
-    d = euler_phi(n)
-    scalar = d == 1
+    scalar = euler_phi(n) == 1
     a = [[v[0] for v in row] if scalar else [list(v) for v in row] for row in rows]
     size, sign, prev = len(a), 1, None
     for k in range(size):
         p = next((i for i in range(k, size) if (a[i][k] if scalar else any(a[i][k]))), None)
         if p is None:
-            return [0] * d
+            return None, 0
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
@@ -431,9 +435,9 @@ def det_int(rows, n: int) -> list[int]:
         b = pivot_row[k]
         if prev is not None and not scalar:
             conj, norm = _conjugates_and_norm(prev, n)
-        for row in a[k + 1:]:
+        for row in (a[:k] if jordan else []) + a[k + 1:]:
             f = row[k]
-            for j in range(k + 1, size):
+            for j in range(k + 1, width):
                 if scalar:
                     x = row[j] * b - f * pivot_row[j]
                     if prev is not None:
@@ -450,10 +454,37 @@ def det_int(rows, n: int) -> list[int]:
                         x = [c // norm for c in x]
                 row[j] = x
         prev = b
-    if not size:
+    return a, sign
+
+
+def det_int(rows, n: int) -> list[int]:
+    """Determinant of a square matrix over Z[zeta_n] whose entries are
+    power-basis integer vectors (euler_phi(n) ints each), as such a vector:
+    sign times the last pivot of _bareiss."""
+    d = euler_phi(n)
+    a, sign = _bareiss(rows, n, len(rows), False)
+    if a is None:
+        return [0] * d
+    if not a:
         return [1] + [0] * (d - 1)
     det = a[-1][-1]
-    return [sign * det] if scalar else [sign * c for c in det]
+    return [sign * det] if d == 1 else [sign * c for c in det]
+
+
+def det_adj_int(rows, n: int):
+    """(det, adj) of a square matrix over Z[zeta_n] of power-basis integer
+    vectors, adj None where det = 0.  _bareiss with jordan takes [B | I] to
+    [p I | X] with p = sign det(B), and X = p B^-1 = sign adj(B)."""
+    d, size = euler_phi(n), len(rows)
+    one, zero = [1] + [0] * (d - 1), [0] * d
+    a, sign = _bareiss([list(r) + [one if i == j else zero for j in range(size)]
+                        for i, r in enumerate(rows)], n, 2 * size, True)
+    if a is None:
+        return zero, None
+    if not size:
+        return one, []
+    wrap = (lambda x: [sign * x]) if d == 1 else (lambda x: [sign * c for c in x])
+    return wrap(a[-1][size - 1]), [[wrap(x) for x in row[size:]] for row in a]
 
 
 class NotInSubfield:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.algebra import (ZERO, CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, block_det, class_product, cleared_rows, int_block,
+                          _adjoint_int, block_det, class_product, cleared_rows, int_block,
                           nrd)
 from grax.cyclotomic import CycloNum
 from grax.groups import FiniteGroup, perm_sign
@@ -281,6 +281,10 @@ def delta_check(x: CentralElement, G: FiniteGroup,
     is integral exactly when c_g R* is, for the twist c_g = x nrd(g) with g
     the product of the diagonal entries.  As [[g]]* = nrd(g) g^-1, the
     twists alone decide the 1x1 group elements.
+
+    Each test runs on integers: M* is an integer grid over one denominator
+    (algebra._adjoint_int), each product c * e is taken over the group
+    table, and it is integral when the denominator divides every entry.
     """
     xg = x.to_group_algebra()
     if G.is_abelian():
@@ -288,8 +292,25 @@ def delta_check(x: CentralElement, G: FiniteGroup,
             return Verdict("exact-yes")
         return Verdict("certified-no", GroupAlgebraMatrix.identity(G, 1))
 
-    def integral(c: GroupAlgebraElement, star: GroupAlgebraMatrix) -> bool:
-        return all((c * e).is_integral() for row in star.entries for e in row)
+    table = G.mul_table
+
+    def cleared(c: GroupAlgebraElement):
+        [[pairs]], [den] = cleared_rows([[c]])
+        return pairs, den
+
+    def integral(c, star) -> bool:
+        # c = (pairs, d) from cleared and star = (grid, den) from _adjoint_int
+        (pairs, d), (grid, den) = c, star
+        mod = d * den
+        for row in grid:
+            for e in row:
+                out = [0] * G.order
+                for g, a in pairs:
+                    for k, b in zip(table[g], e):
+                        out[k] += a * b
+                if any(v % mod for v in out):
+                    return False
+        return True
 
     twists = []  # (g, c_g) for each distinct twist, with its first g
     for g in range(G.order):
@@ -298,13 +319,15 @@ def delta_check(x: CentralElement, G: FiniteGroup,
             return Verdict("certified-no", _monomial_matrix(G, [[g]]))
         if all(c != t for _, t in twists):
             twists.append((g, c))
+    twists = [(g, cleared(c)) for g, c in twists]
+    xc = cleared(xg)
     for y in _small_elements(G, budget)[0]:
         M = GroupAlgebraMatrix.from_entries(G, [[y]])
-        if not integral(xg, adjoint_star(M)):
+        if not integral(xc, _adjoint_int(M)):
             return Verdict("certified-no", M)
     for size in range(2, budget.max_matrix_size + 1):
         for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
-            star = adjoint_star(_monomial_matrix(G, grid))
+            star = _adjoint_int(_monomial_matrix(G, grid))
             for g, c in twists:
                 if not integral(c, star):
                     # diag(g, 1, ..., 1) * R

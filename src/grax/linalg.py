@@ -9,8 +9,10 @@ inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.
 
 `mat_det` is the field determinant of `detfun.two_term_nrd` and the
-oracle the tests hold `nrd` and `nrd_op` to; reduced norms and adjoints
-take fraction-free determinants of integer blocks (`cyclotomic.det_int`).
+oracle the tests hold `nrd` and `nrd_op` to, and `mat_inverse` the oracle
+of `adjoint_star` and `gam_inverse`; reduced norms, adjoints and inverses
+of group-ring matrices take fraction-free eliminations of integer blocks
+(`cyclotomic.det_int`, `cyclotomic.det_adj_int`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
-"""Integer Wedderburn blocks and their fraction-free determinants, checked
-against the splitting field: blocks summed from the CycloNum matrices of
-each representation (rep_of_element) and determinants by linalg.mat_det.
-Also the one boundary of the block path: a coefficient outside Q is refused
+"""Integer Wedderburn blocks, their fraction-free determinants and adjugates,
+and the integer Fourier inversion, checked against the splitting field:
+blocks summed from the CycloNum matrices of each representation
+(rep_of_element), determinants by linalg.mat_det, inverses by
+linalg.mat_inverse, and the CycloNum Fourier loop over rho(g^-1).  Also the
+one boundary of the block path: a coefficient outside Q is refused
 everywhere with the same ValueError."""
 
 import functools
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grax.algebra import (GroupAlgebraElement, GroupAlgebraMatrix, adjoint_star, gam_inverse,
-                          nrd, nrd_op, wedderburn_block)
-from grax.cyclotomic import CycloNum, det_int, euler_phi
+                          matrix_from_blocks, nrd, nrd_op, wedderburn_block)
+from grax.cyclotomic import CycloNum, det_adj_int, det_int, euler_phi
 from grax.fitting import (Budget, fit_matrix, lattice_from_central, leibniz_det,
                           regular_int_rows, xi_approx)
 from grax.groups import group_from_catalog
-from grax.linalg import mat_det
+from grax.linalg import mat_det, mat_inverse
 from grax.reps import irreps
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
@@ -56,6 +58,20 @@ def test_bareiss_det_matches_field_det(case):
     n, rows = case
     field = [[CycloNum(n, v) for v in row] for row in rows]
     assert CycloNum(n, det_int(rows, n)) == mat_det(field)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrices())
+def test_bareiss_adjugate_is_det_times_the_field_inverse(case):
+    n, rows = case
+    det, adj = det_adj_int(rows, n)
+    assert det == det_int(rows, n)
+    inv = mat_inverse([[CycloNum(n, v) for v in row] for row in rows])
+    if inv is None:
+        assert adj is None and not any(det)
+    else:
+        assert [[CycloNum(n, v) for v in row] for row in adj] == \
+            [[CycloNum(n, det) * x for x in row] for row in inv]
 
 
 CATALOG_TO_24 = sorted({group_from_catalog(name).name for name in
@@ -99,6 +115,104 @@ def _field_block(M, rep):
             for i, brow in enumerate(rep_of_element(e, rep)):
                 out[u * c + i][v * c:(v + 1) * c] = brow
     return out
+
+
+def _field_fourier(M, blocks):
+    """The matrix over the splitting field with the given block at each
+    character: coefficient g of entry (u, v) is
+    (1/|G|) sum_chi chi(1) tr(A_chi rho_chi(g^-1)), summed in CycloNum over
+    the representation matrices."""
+    G, reps = M.group, irreps(M.group)
+    grid = []
+    for u in range(M.rows):
+        row = []
+        for v in range(M.cols):
+            coeffs = []
+            for g in range(G.order):
+                acc = CycloNum.from_rational(0)
+                for rep, b in zip(reps, blocks):
+                    c, m = rep.degree, rep.matrices[G.inv(g)]
+                    for i in range(c):
+                        for j in range(c):
+                            acc = acc + b[u * c + i][v * c + j] * m[j][i] * c
+                coeffs.append(acc / G.order)
+            row.append(GroupAlgebraElement(G, tuple(coeffs)))
+        grid.append(row)
+    return GroupAlgebraMatrix.from_entries(G, grid)
+
+
+def field_adjoint(M):
+    """M* over the splitting field: det(A) A^-1 for each field block A, the
+    zero block where det(A) = 0, reassembled by _field_fourier."""
+    blocks = []
+    for rep in irreps(M.group):
+        blk = _field_block(M, rep)
+        det = mat_det(blk)
+        inv = None if det.is_zero() else mat_inverse(blk)
+        blocks.append([[CycloNum.from_rational(0) if inv is None else det * inv[i][j]
+                        for j in range(len(blk))] for i in range(len(blk))])
+    return _field_fourier(M, blocks)
+
+
+def field_inverse(M):
+    """M^-1 over the splitting field, None where a block is singular."""
+    blocks = [mat_inverse(_field_block(M, rep)) for rep in irreps(M.group)]
+    return None if None in blocks else _field_fourier(M, blocks)
+
+
+ADJOINT_GROUPS = ["S3", "D4", "Q8", "S4", "A4", "D5", "C12"]
+
+
+@st.composite
+def _adjoint_inputs(draw):
+    """A rational 0x0-3x3 matrix over a group of ADJOINT_GROUPS, with zero
+    coefficients weighted up so that singular blocks occur."""
+    G = group_from_catalog(draw(st.sampled_from(ADJOINT_GROUPS)))
+    size = draw(st.integers(0, 3))
+    coeff = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), st.integers(-2, 2).map(Fraction),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=4))
+    grid = [[GroupAlgebraElement.from_coeffs(
+                G, draw(st.lists(coeff, min_size=G.order, max_size=G.order)))
+             for _ in range(size)] for _ in range(size)]
+    return GroupAlgebraMatrix.from_entries(G, grid)
+
+
+def _singular_inputs():
+    """Inputs with singular blocks: 1+g over C2 (zero at the sign
+    character), and over S3 1+s for a transposition s, whose degree-2 block
+    has rank 1, alone and on the diagonal of a 2x2 with a denominator."""
+    C2, S3 = group_from_catalog("C2"), group_from_catalog("S3")
+    s = next(g for g in range(S3.order) if S3.element_order(g) == 2)
+    one_s = GroupAlgebraElement.from_coeffs(
+        S3, [Fraction(1) if g in (0, s) else Fraction(0) for g in range(S3.order)])
+    half = GroupAlgebraElement.basis(S3, 0, Fraction(1, 2))
+    zero = GroupAlgebraElement.zero(S3)
+    return [GroupAlgebraMatrix.from_entries(C2, [[GroupAlgebraElement.from_coeffs(C2, [1, 1])]]),
+            GroupAlgebraMatrix.from_entries(S3, [[one_s]]),
+            GroupAlgebraMatrix.from_entries(S3, [[one_s, zero], [half, half]])]
+
+
+@pytest.mark.parametrize("M", _singular_inputs(), ids=["C2-one-plus-g", "S3-one-plus-s", "S3-2x2"])
+def test_adjoint_has_zero_blocks_where_the_field_block_is_singular(M):
+    dets = [mat_det(_field_block(M, rep)) for rep in irreps(M.group)]
+    assert any(d.is_zero() for d in dets) and not all(d.is_zero() for d in dets)
+    assert adjoint_star(M) == field_adjoint(M)
+    assert gam_inverse(M) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_adjoint_inputs())
+def test_adjoint_and_inverse_match_the_field_path(M):
+    assert adjoint_star(M) == field_adjoint(M)
+    assert gam_inverse(M) == field_inverse(M)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rational_matrices())
+def test_matrix_from_blocks_inverts_wedderburn_block(M):
+    blocks = [wedderburn_block(M, chi) for chi in range(len(irreps(M.group)))]
+    assert matrix_from_blocks(M.group, M.rows, M.cols, blocks) == M
+    assert _field_fourier(M, blocks) == M
 
 
 @settings(max_examples=60, deadline=None)

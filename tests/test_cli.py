@@ -87,6 +87,28 @@ def test_closed_stdout_keeps_the_exit_code(argv, want, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_out_into_a_missing_directory_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "group", "--name", "S3", "--no-timestamp",
+                             "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+class _FullDevice(io.StringIO):
+    """A stdout on a full device: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_unwritable_stdout_is_one_line_on_stderr(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    assert main(["group", "--name", "S3", "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: cannot write the report to stdout: " \
+                  "[Errno 28] No space left on device\n"
+
+
 def test_suite_determinism(capsys):
     argv = ["suite", "--name", "pairing", "--seed", "7", "--scale", "0.02",
             "--no-timestamp"]

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, nrd)
 from grax.cyclotomic import CycloNum
-from grax.fitting import (Budget, _normalised_monomials, annihilation_check, char_value,
+from grax.fitting import (Budget, _monomial_matrix, _normalised_monomials, _small_elements,
+                          annihilation_check, char_value,
                           delta_check, fit_classical_oracle, fit_matrix, fit_transpose,
                           hash_lattice, lattice_from_central, leibniz_det, regular_int_rows,
                           xi_approx)
@@ -217,6 +218,67 @@ def test_delta_matches_all_monomial_matrices_s3():
     stars = [adjoint_star(M) for M in _every_2x2_monomial(G)]
     assert not all(_times_integral(three, s) for s in stars)
     assert all(_times_integral(six, s) for s in stars)
+
+
+def _delta_oracle(x, G, budget):
+    """delta_check's enumeration with x * M* tested by GroupAlgebraElement
+    products of adjoint_star entries."""
+    def integral(c, M):
+        return all((c * e).is_integral() for row in adjoint_star(M).entries for e in row)
+
+    twists = []
+    for g in range(G.order):
+        c = (x * nrd(_monomial_matrix(G, [[g]]))).to_group_algebra()
+        if not c.is_integral():
+            return "certified-no", _monomial_matrix(G, [[g]])
+        if all(c != t for _, t in twists):
+            twists.append((g, c))
+    for y in _small_elements(G, budget)[0]:
+        M = GroupAlgebraMatrix.from_entries(G, [[y]])
+        if not integral(x.to_group_algebra(), M):
+            return "certified-no", M
+    for size in range(2, budget.max_matrix_size + 1):
+        for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
+            for g, c in twists:
+                if not integral(c, _monomial_matrix(G, grid)):
+                    top = [None if h is None else G.mul(g, h) for h in grid[0]]
+                    return "certified-no", _monomial_matrix(G, [top, *grid[1:]])
+    return "passed-budget", None
+
+
+@st.composite
+def _delta_cases(draw):
+    G = group_from_catalog(draw(st.sampled_from(["S3", "D4", "Q8"])))
+    if draw(st.booleans()):
+        x = CentralElement.from_rational(G, draw(st.sampled_from(
+            [1, 2, 3, G.order // 2, G.order, 3 * G.order])))
+    else:
+        x = CentralElement.from_coords(G, draw(st.lists(
+            st.integers(-G.order, G.order), min_size=len(G.conjugacy_classes),
+            max_size=len(G.conjugacy_classes))))
+    budget = draw(st.sampled_from([Budget(max_matrix_size=1), Budget(support=1),
+                                   Budget(support=1, max_candidates=10)]))
+    return x, G, budget
+
+
+@pytest.mark.parametrize("name, q, budget, rows", [
+    ("S3", 1, SMALL, 1), ("S3", 3, Budget(support=1), 2), ("D4", 2, Budget(), 1),
+    ("Q8", 2, Budget(support=1), 2), ("D4", 4, Budget(support=1), None)])
+def test_delta_matches_the_group_ring_oracle_at_fixed_inputs(name, q, budget, rows):
+    # certified-no at the 1x1 and at the 2x2 stage, and one pass
+    G = group_from_catalog(name)
+    x = CentralElement.from_rational(G, q)
+    v = delta_check(x, G, budget)
+    assert (v.kind, v.witness) == _delta_oracle(x, G, budget)
+    assert (v.witness.rows if v.witness else None) == rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(_delta_cases())
+def test_delta_matches_the_group_ring_oracle(case):
+    x, G, budget = case
+    v = delta_check(x, G, budget)
+    assert (v.kind, v.witness) == _delta_oracle(x, G, budget)
 
 
 def test_delta_s4_order_passes():

@@ -20,6 +20,14 @@ lattice is the one the full generator lists would give.
 For abelian groups the order is exactly the image of Z[G] and the minors
 pool is complete by multilinearity, so fit_matrix agrees with the
 classical Fitting ideal computed independently by fit_classical_oracle.
+
+A Fitting minor with a standard basis column b_i is reduced by Laplace
+expansion before it is evaluated: it is zero unless its rows hold i, and
+otherwise, at every character chi, nrd_chi(minor) = s^chi(1) nrd_chi(the
+minor without row i and that column), with s the scalar Laplace sign.  So
+fit_matrix evaluates only distinct, smaller, nonzero minors, each once
+per call; the combination columns b_i + h*b_j stay columns, since their
+blocks mix rows across the chi(1) copies (_replacement_pool).
 """
 
 from __future__ import annotations
@@ -339,8 +347,19 @@ def delta_check(x: CentralElement, G: FiniteGroup,
 # -- Fitting invariants ------------------------------------------------------
 
 def _replacement_pool(G: FiniteGroup, nrows: int, budget: Budget):
-    """Columns available for replacement: standard basis vectors b_i, plus
-    bounded integer combinations of two of them when the budget allows.
+    """The combination columns of the replacement pool: b_i + h*b_j for
+    i < j and 1 <= h <= coeff_height, when coeff_height >= 2.
+
+    The rest of the pool, the standard basis columns b_i, is never built.
+    A minor with rows R and b_i as column q is zero when i is not in R;
+    otherwise Laplace expansion along that column gives, at every
+    character chi, nrd_chi(minor) = s^chi(1) nrd_chi(the minor without row
+    i and column q), s = (-1)^(r+q) with r the position of i in R: the
+    column's block is e_r (x) I_c, c = chi(1) identity columns, each a
+    Laplace step of sign s.  A combination column is not reduced: its block
+    (e_i + h e_j) (x) I_c has two nonzero rows in each of its c columns, so
+    the expansion mixes rows across the c copies and is no single smaller
+    minor.
 
     Group translates g*b_i are omitted: their minors differ from the b_i
     minors by reduced-norm factors of group elements, which the closing
@@ -349,10 +368,6 @@ def _replacement_pool(G: FiniteGroup, nrows: int, budget: Budget):
     one = GroupAlgebraElement.one(G)
     zero = GroupAlgebraElement.zero(G)
     pool = []
-    for i in range(nrows):
-        col = [zero] * nrows
-        col[i] = one
-        pool.append(tuple(col))
     if budget.coeff_height >= 2:
         for i in range(nrows):
             for j in range(i + 1, nrows):
@@ -371,44 +386,61 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
 
     Enumerates reduced norms of all cols x cols minors of M with at most a
     columns replaced from the pool, multiplies by the Whitehead generators,
-    and spans.  Exact for abelian groups and for a = 0 with square M; a
-    sound under-approximation otherwise.
+    and spans.  A basis column b_i is taken out by Laplace expansion
+    (_replacement_pool): the minor is zero unless its rows hold i, and
+    otherwise it is eps times the minor without row i and that column, eps
+    the central unit with eps_chi = s^chi(1) for the scalar Laplace sign s.
+    So only distinct, smaller, nonzero minors of [M | combination columns]
+    are evaluated, each once per call, and each distinct (minor, sign)
+    gives one generator (each distinct minor over abelian groups, where
+    eps = s is in Z): zero and repeated generators do not change the
+    span.  Exact for abelian groups and for a = 0 with square M; a sound
+    under-approximation otherwise.  xi must be a lattice over M's group.
     """
     if a < 0:
         raise ValueError("Fitting index must be nonnegative")
     if M.rows < M.cols:
         raise ValueError("matrix must have at least as many rows as columns")
     G = M.group
+    if xi is not None and xi.group != G:
+        raise ValueError(f"xi is a lattice over {xi.group.name}, not over {G.name}")
     abelian = G.is_abelian()
     if xi is None and not abelian:
         xi = xi_approx(G, budget)
     d_, d = M.rows, M.cols
-    pool = _replacement_pool(G, d_, budget)
-    # [M | pool]: each minor takes d of its rows and d of its columns
-    wide = [list(M.entries[i]) + [col[i] for col in pool] for i in range(d_)]
-    minors = list(_minor_selections(d_, d, len(pool), a))
+    combos = _replacement_pool(G, d_, budget)
+    # [M | combination columns]; the reduced minors take their rows and columns
+    wide = [list(M.entries[i]) + [col[i] for col in combos] for i in range(d_)]
+    # the minors of [M | pool] (each of d_ basis columns and the combinations)
+    count = math.comb(d_, d) * sum(math.comb(d, t) * (d_ + len(combos)) ** t
+                                   for t in range(min(a, d) + 1))
+    # each distinct reduced minor once, with the distinct signs it carries
+    signs = {}
+    for rsub, cols, s in _minor_selections(d_, d, len(combos), a):
+        signs.setdefault((rsub, cols), set()).add(s)
     exact = abelian or (a == 0 and d_ == d)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
-        # generators (group elements) permutes them
+        # generators (group elements) permutes them; a sign is dropped, as
+        # the Z-span of v holds -v
         dets = [_leibniz_int(G, [[wide[i][j] for j in cols] for i in rsub])
-                for rsub, cols in minors]
+                for rsub, cols in signs]
         denom = math.lcm(1, *(den for _, den in dets))
         translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
         rows = []
         for vec, den in dets:
             vec = [c * (denom // den) for c in vec]
             rows += ([vec[k] for k in t] for t in translates)
-        prov = (f"Fit^{a} of {d_}x{d}: {len(minors)} minors x |G| translates",)
+        prov = (f"Fit^{a} of {d_}x{d}: {count} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
-    # each character's block of [M | pool] once; a minor's block selects
-    # its rows and columns, deg block rows and columns each
+    # each character's block of [M | combinations] once; a minor's block
+    # selects its rows and columns, deg block rows and columns each
     cleared, dens = cleared_rows(wide)
     reps = irreps(G)
     blocks = [int_block(cleared, rep) for rep in reps]
     nrds = []
-    for rsub, cols in minors:
+    for (rsub, cols), ss in signs.items():
         values = []
         for rep, blk in zip(reps, blocks):
             c = rep.degree
@@ -416,27 +448,54 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
             values.append(block_det(rep, [[blk[u * c + i][x] for x in bcols]
                                           for u in rsub for i in range(c)],
                                     [dens[u] for u in rsub]))
-        nrds.append(CentralElement(G, tuple(values)))
+        for s in ss:
+            # eps_chi = s^chi(1): -1 only at the odd degrees when s = -1
+            nrds.append(CentralElement(G, tuple(
+                -v if s < 0 and rep.degree % 2 else v for rep, v in zip(reps, values))))
     # by bilinearity, products of the two HNF bases span all products
     span = lattice_from_central(G, nrds)
     rows = [class_product(G, u, y) for u in span.lattice.basis for y in xi.lattice.basis]
-    prov = (f"Fit^{a} of {d_}x{d}: {len(minors)} minors x {xi.lattice.rank} order gens",)
+    prov = (f"Fit^{a} of {d_}x{d}: {count} minors x {xi.lattice.rank} order gens",)
     return _lattice_from_int_rows(G, rows, span.denominator * xi.denominator, prov,
                                   stable=xi.stable or xi.exact, exact=exact)
 
 
-def _minor_selections(nrows: int, d: int, npool: int, a: int):
-    """The minors of fit_matrix as (row subset, columns) in [M | pool]: d of
-    the nrows rows, and column j of M or, for at most a of the j, pool
-    column p (column d + p)."""
+def _minor_selections(nrows: int, d: int, ncomb: int, a: int):
+    """The nonzero minors of fit_matrix after Laplace expansion along their
+    basis columns, as (rows of M, columns of [M | combinations], s).
+
+    A minor of [M | pool] takes d of the nrows rows, and column j of M or,
+    for at most a of the j, pool column p: the basis column b_p for p <
+    nrows, else combination column p - nrows (column d + p - nrows of
+    [M | combinations]).  Its basis columns are taken out from the left:
+    b_i at position q among the columns left, with i at position r among
+    the rows left, goes with row i and the sign (-1)^(r+q); with i not
+    among the rows left (never selected, or b_i used twice) the minor is
+    zero and skipped.  s is the product of the signs.
+    """
     for t in range(0, min(a, d) + 1):
         for col_subset in itertools.combinations(range(d), t):
-            for replacement in itertools.product(range(npool), repeat=t):
+            for replacement in itertools.product(range(nrows + ncomb), repeat=t):
                 cols = list(range(d))
+                basis = []  # (position in the minor, basis row), left to right
                 for j, p in zip(col_subset, replacement):
-                    cols[j] = d + p
+                    if p < nrows:
+                        basis.append((j, p))
+                        cols[j] = None
+                    else:
+                        cols[j] = d + p - nrows
+                kept = tuple(v for v in cols if v is not None)
                 for row_subset in itertools.combinations(range(nrows), d):
-                    yield row_subset, cols
+                    rows, s = list(row_subset), 1
+                    for k, (j, i) in enumerate(basis):
+                        if i not in rows:
+                            break
+                        r = rows.index(i)
+                        # k basis columns left of position j are gone already
+                        s *= (-1) ** (r + j - k)
+                        del rows[r]
+                    else:
+                        yield tuple(rows), kept, s
 
 
 def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:

@@ -8,13 +8,14 @@ everywhere with the same ValueError."""
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax.algebra import (GroupAlgebraElement, GroupAlgebraMatrix, adjoint_star, gam_inverse,
-                          matrix_from_blocks, nrd, nrd_op, wedderburn_block)
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, adjoint_star,
+                          gam_inverse, matrix_from_blocks, nrd, nrd_op, wedderburn_block)
 from grax.cyclotomic import CycloNum, det_adj_int, det_int, euler_phi
 from grax.fitting import (Budget, fit_matrix, lattice_from_central, leibniz_det,
                           regular_int_rows, xi_approx)
@@ -289,19 +290,58 @@ def _per_minor_fit(M, a, budget, xi):
 def _fit_cases(draw):
     name = draw(st.sampled_from(["S3", "D4", "Q8"]))
     G = group_from_catalog(name)
-    rows, cols = draw(st.sampled_from([(2, 2), (3, 2)]))
+    # a up to cols + 1 replaces every column (the empty minor is 1), uses a
+    # basis column twice and leaves rows unselected; coeff_height 2 mixes
+    # combination columns with basis columns
+    rows, cols = draw(st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2)]))
     coeff = st.one_of(st.just(Fraction(0)), st.integers(-2, 2).map(Fraction),
                       st.fractions(min_value=-2, max_value=2, max_denominator=3))
     grid = [[GroupAlgebraElement.from_coeffs(
                 G, draw(st.lists(coeff, min_size=G.order, max_size=G.order)))
              for _ in range(cols)] for _ in range(rows)]
-    return (GroupAlgebraMatrix.from_entries(G, grid), draw(st.integers(0, 2)),
-            Budget(coeff_height=draw(st.integers(1, 2))))
+    return (GroupAlgebraMatrix.from_entries(G, grid), draw(st.integers(0, cols + 1)),
+            Budget(coeff_height=draw(st.integers(1, 2))), draw(st.booleans()))
+
+
+def _unit_lattice(G):
+    """Z*1 in place of xi: the Fitting lattice is then the span of the
+    minors' reduced norms alone, so a Laplace sign eps_chi = -1 that xi
+    would absorb (nrd(-1) is a Whitehead generator) shows."""
+    return lattice_from_central(G, [CentralElement.one(G)])
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8"])
+@pytest.mark.parametrize("rows, cols, a", [(3, 3, 4), (4, 2, 3)])
+def test_fit_matrix_matches_per_minor_norms_at_fixed_shapes(rows, cols, a, name):
+    # a > cols replaces every column (the empty minor), uses basis columns
+    # twice and beside combination columns, and leaves rows unselected
+    G = group_from_catalog(name)
+    rng = random.Random(3)
+    M = GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.from_coeffs(
+        G, [Fraction(rng.randrange(-2, 3), rng.choice([1, 3])) for _ in range(G.order)])
+        for _ in range(cols)] for _ in range(rows)])
+    budget, unit = Budget(coeff_height=2), _unit_lattice(G)
+    assert fit_matrix(M, a, budget, unit) == _per_minor_fit(M, a, budget, unit)
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8"])
+def test_fit_matrix_keeps_the_laplace_sign(name):
+    # [[0, x], [x, 0]] at a = 1: nrd of the matrix and both nonzero entries
+    # with one replaced column come with eps, eps_chi = (-1)^chi(1), and
+    # their span over Z*1 differs from the span without eps
+    G = group_from_catalog(name)
+    x = GroupAlgebraElement.from_coeffs(G, [2, 0, 1] + [0] * (G.order - 3))
+    zero = GroupAlgebraElement.zero(G)
+    M = GroupAlgebraMatrix.from_entries(G, [[zero, x], [x, zero]])
+    unit, n = _unit_lattice(G), nrd(GroupAlgebraMatrix.from_entries(G, [[x]]))
+    got = fit_matrix(M, 1, Budget(), unit)
+    assert got == _per_minor_fit(M, 1, Budget(), unit)
+    assert got != lattice_from_central(G, [n, n * n])
 
 
 @settings(max_examples=15, deadline=None)
 @given(_fit_cases())
 def test_fit_matrix_matches_per_minor_norms(case):
-    M, a, budget = case
-    xi = _xi(M.group.name)
+    M, a, budget, unit = case
+    xi = _unit_lattice(M.group) if unit else _xi(M.group.name)
     assert fit_matrix(M, a, budget, xi) == _per_minor_fit(M, a, budget, xi)

@@ -354,6 +354,46 @@ def test_fit_oracle_rejects_nonabelian():
         fit_classical_oracle(GroupAlgebraMatrix.identity(G, 1), 0)
 
 
+def test_fit_refuses_xi_over_another_group():
+    # an xi over another group spans a lattice in the wrong class-sum basis;
+    # the abelian branch, which reads no xi, refuses it too
+    rng = random.Random(7)
+    xi_d4 = xi_approx(group_from_catalog("D4"), SMALL)
+    for name in ("S3", "Q8", "C4"):
+        G = group_from_catalog(name)
+        M = rand_gam(rng, G, 2, 2, 1)
+        with pytest.raises(ValueError, match="not over"):
+            fit_matrix(M, 0, Budget(), xi_d4)
+        with pytest.raises(ValueError, match="not over"):
+            fit_transpose(M, 1, Budget(), xi_d4)
+
+
+def test_laplace_sign_is_the_degree_power():
+    # column 1 replaced by b_0: the entry 1 sits at r + q = 0 + 1, odd, so the
+    # minor is eps nrd([[m10]]) with eps_chi = (-1)^chi(1)
+    G = group_from_catalog("S3")
+    assert [rep.degree for rep in irreps(G)] == [1, 1, 2]
+    m00 = GroupAlgebraElement.from_coeffs(G, [1, -1, 2, 0, 1, 0])
+    # 2 + g: no eigenvalue of a character's image of g is -2
+    m10 = GroupAlgebraElement.from_coeffs(G, [2, 1, 0, 0, 0, 0])
+    one, zero = GroupAlgebraElement.one(G), GroupAlgebraElement.zero(G)
+    minor = nrd(GroupAlgebraMatrix.from_entries(G, [[m00, one], [m10, zero]]))
+    entry = nrd(GroupAlgebraMatrix.from_entries(G, [[m10]]))
+    assert not entry.has_zero_component()
+    assert list(minor.values) == [s * v for s, v in zip((-1, -1, 1), entry.values)]
+
+
+@pytest.mark.parametrize("name", ["C4", "C6"])
+def test_fit_matches_oracle_with_several_basis_columns(name):
+    # a >= 2 takes out two or three basis columns by Laplace expansion
+    rng = random.Random(9)
+    G = group_from_catalog(name)
+    for rows in (3, 4):
+        M = rand_gam(rng, G, rows, 3, 2)
+        for a in (2, 3):
+            assert fit_matrix(M, a) == fit_classical_oracle(M, a)
+
+
 def test_fit_transpose_a0_d4():
     rng = random.Random(4)
     G = group_from_catalog("D4")

@@ -34,6 +34,9 @@ CASES = {
                         "--cok-section", _in("s3_tt_section.json")],
     "fit_c4": ["fit", "--group", "C4", "--matrix", _in("c4_3x2.json"), "--a", "1",
                "--oracle-check"],
+    "fit_c4_a2": ["fit", "--group", "C4", "--matrix", _in("c4_3x2.json"), "--a", "2",
+                  "--oracle-check"],
+    "fit_q8_3x2": ["fit", "--group", "Q8", "--matrix", _in("q8_3x2.json"), "--a", "1"],
     "fit_s3": ["fit", "--group", "S3", "--matrix", _in("s3_2x2.json"), "--a", "1",
                "--budget", '{"max_matrix_size": 2, "max_candidates": 2000}'],
     "epsilon_q8": ["epsilon", "--group", "Q8", "--matrix", _in("q8_3x2.json")],

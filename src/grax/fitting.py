@@ -6,7 +6,19 @@ matrices; that set is infinite, so xi_approx enumerates a budgeted family
 and closes the resulting lattice under multiplication (products of reduced
 norms are reduced norms of block-diagonal matrices, so every generator
 remains genuine).  delta_check tests the denominator ideal on the same
-monomial family.  All lattices live in the conjugacy-class-sum basis of
+monomial family.
+
+Both take one reduced norm (xi) or one generalized adjoint (delta) per
+orbit of their families under translation and conjugation by group
+elements h and k:
+    nrd(h y) = nrd(h) nrd(y),      [[h y]]* = nrd(h) y* h^-1,
+    nrd(k y k^-1) = nrd(y),        (k y k^-1)* = k y* k^-1.
+A 1x1 member is y = h k r k^-1, with h its first label and r a canonical
+representative whose support holds the identity (_small_elements), and
+the monomial matrices k R k^-1 share R's values (_grid_rep); generators,
+verdicts and witnesses are those of the members taken one by one.
+
+All lattices live in the conjugacy-class-sum basis of
 the rational center, as a Hermite-normal-form integer lattice together
 with one common denominator; that pair is canonical, so lattice equality
 is literal equality.
@@ -143,22 +155,71 @@ def _abelian_image_lattice(G: FiniteGroup) -> CentralLattice:
 
 
 def _small_elements(G: FiniteGroup, budget: Budget):
-    """Integral group-algebra elements with bounded support and height, and
-    the size of that family before the candidate budget cut it."""
+    """The 1x1 family, integral elements y with bounded support and height,
+    in enumeration order, and its size before the candidate budget cut it.
+
+    Each member is (pairs, h, r): y as (label, coefficient) pairs sorted by
+    label, h its first label, and r the canonical conjugate of h^-1 y
+    (_conjugacy_rep), whose support holds the identity; so y = h k r k^-1
+    for some group element k.
+    """
+    table, inverse = G.mul_table, G.inverse
     out = []
     heights = [h for h in range(-budget.coeff_height, budget.coeff_height + 1) if h]
     total = sum(math.comb(G.order, size) * len(heights) ** size
                 for size in range(1, budget.support + 1))
     for size in range(1, budget.support + 1):
         for supp in itertools.combinations(range(G.order), size):
+            back = table[inverse[supp[0]]]
+            moved = [back[g] for g in supp]
             for coeffs in itertools.product(heights, repeat=size):
                 if len(out) >= budget.max_candidates:
                     return out, total
-                vec = [0] * G.order
-                for g, c in zip(supp, coeffs):
-                    vec[g] = c
-                out.append(GroupAlgebraElement.from_coeffs(G, vec))
+                out.append((tuple(zip(supp, coeffs)), supp[0],
+                            _conjugacy_rep(G, tuple(zip(moved, coeffs)))))
     return out, total
+
+
+def _conjugacy_rep(G: FiniteGroup, pairs) -> tuple:
+    """The canonical conjugate of sparse (label, tag) pairs under g -> k g
+    k^-1 with one k for every label: the least over k of the conjugated
+    pairs, sorted.  With at most one label off the identity that is its
+    class representative (the least label of the class), found directly;
+    otherwise each k costs O(len(pairs))."""
+    table, inverse = G.mul_table, G.inverse
+    if sum(g != G.identity for g, _ in pairs) <= 1:
+        return tuple(sorted((G.conjugacy_classes[G.class_of[g]][0], t) for g, t in pairs))
+    return min(tuple(sorted((table[table[k][g]][inverse[k]], t) for g, t in pairs))
+               for k in range(G.order))
+
+
+def _grid_rep(G: FiniteGroup, grid) -> tuple:
+    """The canonical conjugate k R k^-1 of a grid of group labels, as
+    sorted (label, cell) pairs of its nonzero cells."""
+    return _conjugacy_rep(G, tuple((g, (i, j)) for i, row in enumerate(grid)
+                                   for j, g in enumerate(row) if g is not None))
+
+
+def _element_matrix(G: FiniteGroup, pairs) -> GroupAlgebraMatrix:
+    """The 1x1 matrix over Z[G] of an element given by (label, coefficient)
+    pairs."""
+    coeffs = [0] * G.order
+    for g, c in pairs:
+        coeffs[g] = c
+    return GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.from_coeffs(G, coeffs)]])
+
+
+def _distinct(values):
+    """The index of each value among the distinct values, and the distinct
+    values in order of first appearance (compared by ==: central elements
+    do not hash)."""
+    firsts, index = [], []
+    for v in values:
+        i = next((i for i, u in enumerate(firsts) if u == v), len(firsts))
+        if i == len(firsts):
+            firsts.append(v)
+        index.append(i)
+    return index, firsts
 
 
 def _monomial_patterns(size: int):
@@ -222,24 +283,51 @@ def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
     entries, so once every nrd(g) is a generator the first closing round
     recovers each monomial matrix from its normalised representative R.
     Abelian groups return the image of Z[G] exactly.
+
+    Each reduced norm is computed once per orbit of the family under
+    translation and conjugation by group elements: nrd(h y) = nrd(h) nrd(y)
+    and nrd(k y k^-1) = nrd(y).  A 1x1 member y = h k r k^-1 contributes
+    the product nrd(h) nrd(r), once for each distinct (nrd(h), r), and the
+    monomial matrices k R k^-1 share nrd(R); the generators are exactly
+    those of the members one by one.
     """
     if G.is_abelian():
         return _abelian_image_lattice(G)
-    elements, space = _small_elements(G, budget)
+    members, space = _small_elements(G, budget)
     prov = [_family_label(f"1x1 elements: support<={budget.support} "
-                          f"height<={budget.coeff_height}", len(elements), space)]
+                          f"height<={budget.coeff_height}", len(members), space)]
+    orbits = [(h, r) for _, h, r in members]
     if budget.max_matrix_size >= 2:
         # the representatives below stand for their orbits only with every nrd(g)
-        missing = [x for x in (GroupAlgebraElement.basis(G, g) for g in range(G.order))
-                   if x not in elements]
+        present = {pairs for pairs, _, _ in members}
+        missing = [g for g in range(G.order) if ((g, 1),) not in present]
         if missing:
-            elements += missing
+            orbits += [(g, ((G.identity, 1),)) for g in missing]
             prov.append(f"1x1 group elements: {len(missing)}")
-    gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in elements]
+    norms = {}  # nrd of each 1x1 matrix met, by its pairs
+
+    def norm(pairs):
+        if pairs not in norms:
+            norms[pairs] = nrd(_element_matrix(G, pairs))
+        return norms[pairs]
+
+    hs = sorted({h for h, _ in orbits})
+    index, units = _distinct([norm(((h, 1),)) for h in hs])
+    unit = dict(zip(hs, index))
+    products = {}
+    for h, r in orbits:
+        if (unit[h], r) not in products:
+            products[unit[h], r] = units[unit[h]] * norm(r)
+    gens = list(products.values())
     for size in range(2, budget.max_matrix_size + 1):
         space = sum(G.order ** len(free) for _, free in _monomial_patterns(size))
         grids = list(itertools.islice(_normalised_monomials(G, size), budget.max_candidates))
-        gens += [nrd(_monomial_matrix(G, grid)) for grid in grids]
+        conjugates = {}
+        for grid in grids:
+            key = _grid_rep(G, grid)
+            if key not in conjugates:
+                conjugates[key] = nrd(_monomial_matrix(G, grid))
+        gens += conjugates.values()
         prov.append(_family_label(f"{size}x{size} monomial matrices", len(grids), space))
     for x in gens:
         if not x.is_integral():
@@ -290,13 +378,20 @@ def delta_check(x: CentralElement, G: FiniteGroup,
     the product of the diagonal entries.  As [[g]]* = nrd(g) g^-1, the
     twists alone decide the 1x1 group elements.
 
+    The 1x1 family is tested once per orbit under translation and
+    conjugation: a member y = h k r k^-1 has x y* = k (c_h r*) k^-1 h^-1,
+    by [[h y]]* = nrd(h) y* h^-1 and (k r k^-1)* = k r* k^-1, so it is
+    integral exactly when c_h r* is.  Each distinct (c_h, r) is tested once,
+    on one adjugate per r, and the monomial matrices k R k^-1 share R's
+    adjugate.  Members are still walked in enumeration order, so the
+    witness is the first failing member itself.
+
     Each test runs on integers: M* is an integer grid over one denominator
     (algebra._adjoint_int), each product c * e is taken over the group
     table, and it is integral when the denominator divides every entry.
     """
-    xg = x.to_group_algebra()
     if G.is_abelian():
-        if xg.is_integral():
+        if x.to_group_algebra().is_integral():
             return Verdict("exact-yes")
         return Verdict("certified-no", GroupAlgebraMatrix.identity(G, 1))
 
@@ -320,21 +415,33 @@ def delta_check(x: CentralElement, G: FiniteGroup,
                     return False
         return True
 
-    twists = []  # (g, c_g) for each distinct twist, with its first g
+    cs = []
     for g in range(G.order):
         c = (x * nrd(_monomial_matrix(G, [[g]]))).to_group_algebra()
         if not c.is_integral():
             return Verdict("certified-no", _monomial_matrix(G, [[g]]))
-        if all(c != t for _, t in twists):
-            twists.append((g, c))
-    twists = [(g, cleared(c)) for g, c in twists]
-    xc = cleared(xg)
-    for y in _small_elements(G, budget)[0]:
-        M = GroupAlgebraMatrix.from_entries(G, [[y]])
-        if not integral(xc, _adjoint_int(M)):
-            return Verdict("certified-no", M)
+        cs.append(c)
+    twist_of, distinct = _distinct(cs)
+    # (g, c_g) for each distinct twist, with its first g
+    twists = [(twist_of.index(i), cleared(c)) for i, c in enumerate(distinct)]
+    # x [[h k r k^-1]]* = k (c_h r*) k^-1 h^-1: one test per (c_h, r) and
+    # one adjugate per r; the first failing member is the witness
+    stars, passed = {}, set()
+    for pairs, h, r in _small_elements(G, budget)[0]:
+        if (twist_of[h], r) in passed:
+            continue
+        if r not in stars:
+            stars[r] = _adjoint_int(_element_matrix(G, r))
+        if not integral(twists[twist_of[h]][1], stars[r]):
+            return Verdict("certified-no", _element_matrix(G, pairs))
+        passed.add((twist_of[h], r))
     for size in range(2, budget.max_matrix_size + 1):
+        tested = set()  # (k R k^-1)* = k R* k^-1: one adjugate per conjugacy orbit
         for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
+            key = _grid_rep(G, grid)
+            if key in tested:
+                continue
+            tested.add(key)
             star = _adjoint_int(_monomial_matrix(G, grid))
             for g, c in twists:
                 if not integral(c, star):

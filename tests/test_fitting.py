@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grax import fitting
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, nrd)
 from grax.cyclotomic import CycloNum
-from grax.fitting import (Budget, _monomial_matrix, _normalised_monomials, _small_elements,
+from grax.fitting import (Budget, _conjugacy_rep, _monomial_matrix, _normalised_monomials,
                           annihilation_check, char_value,
                           delta_check, fit_classical_oracle, fit_matrix, fit_transpose,
                           hash_lattice, lattice_from_central, leibniz_det, regular_int_rows,
@@ -30,6 +31,26 @@ def rand_gam(rng, G, r, c, h=3):
 
 
 SMALL = Budget(max_matrix_size=1)
+
+
+def _small_elements(G, budget):
+    """xi_approx's and delta_check's 1x1 family, enumerated here one member
+    at a time as group-algebra elements, and its size before the candidate
+    budget cut it."""
+    out = []
+    heights = [h for h in range(-budget.coeff_height, budget.coeff_height + 1) if h]
+    total = sum(math.comb(G.order, size) * len(heights) ** size
+                for size in range(1, budget.support + 1))
+    for size in range(1, budget.support + 1):
+        for supp in itertools.combinations(range(G.order), size):
+            for coeffs in itertools.product(heights, repeat=size):
+                if len(out) >= budget.max_candidates:
+                    return out, total
+                vec = [0] * G.order
+                for g, c in zip(supp, coeffs):
+                    vec[g] = c
+                out.append(GroupAlgebraElement.from_coeffs(G, vec))
+    return out, total
 
 
 def test_xi_abelian_exact():
@@ -147,6 +168,73 @@ def test_xi_truncated_budget_reports_counts():
         "1x1 group elements: 1",
         "2x2 monomial matrices (truncated: 10 of 21 tried)")
     assert xi_approx(G).contains_lattice(xi)
+
+
+def _each_members_nrd(G, budget):
+    """The reduced norm of each member of xi_approx's families, one by one:
+    the 1x1 family, the group elements it lacks, and the monomial matrices."""
+    members = _small_elements(G, budget)[0]
+    if budget.max_matrix_size >= 2:
+        members += [x for x in (GroupAlgebraElement.basis(G, g) for g in range(G.order))
+                    if x not in members]
+    gens = [nrd(GroupAlgebraMatrix.from_entries(G, [[x]])) for x in members]
+    for size in range(2, budget.max_matrix_size + 1):
+        gens += [nrd(_monomial_matrix(G, grid)) for grid in
+                 itertools.islice(_normalised_monomials(G, size), budget.max_candidates)]
+    return gens
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+@pytest.mark.parametrize("budget", [Budget(rounds=0), Budget(rounds=0, max_candidates=10),
+                                    Budget(rounds=0, support=1)])
+def test_xi_before_closing_is_the_span_of_each_members_nrd(name, budget):
+    # xi takes one nrd per translate-and-conjugate orbit; before any closing
+    # round its lattice must still be the span of every member's own nrd
+    # (A4 has irrational characters, so each product runs the Galois check)
+    G = group_from_catalog(name)
+    xi = xi_approx(G, budget)
+    assert xi == lattice_from_central(G, _each_members_nrd(G, budget))
+    assert not xi.stable
+
+
+def test_conjugacy_rep_is_a_class_invariant():
+    G = group_from_catalog("S4")
+    rng = random.Random(4)
+    for size in (1, 2, 3, 4):
+        for _ in range(10):
+            pairs = tuple(zip(rng.sample(range(G.order), size), rng.choices((-1, 1, 2), k=size)))
+            rep = _conjugacy_rep(G, pairs)
+            conjugates = [tuple(sorted((G.mul(G.mul(k, g), G.inv(k)), c) for g, c in pairs))
+                          for k in range(G.order)]
+            assert rep in conjugates
+            for conj in conjugates:
+                assert _conjugacy_rep(G, conj) == rep
+
+
+@pytest.mark.parametrize("name, xi_nrd, delta_adjugates", [
+    ("S4", 61, 38), ("D4", 45, 38), ("Q8", 45, 38)])
+def test_one_nrd_and_one_adjugate_per_orbit(name, xi_nrd, delta_adjugates, monkeypatch):
+    # at the default budget the families hold 1,191 (S4) and 151 (D4, Q8)
+    # matrices; xi takes one nrd per group element, per 1x1 representative
+    # and per conjugacy orbit of monomial matrices, and delta one adjugate
+    # per 1x1 representative and per orbit of monomial matrices
+    G = group_from_catalog(name)
+    calls = {"nrd": 0, "adj": 0}
+    nrd_, adj_ = fitting.nrd, fitting._adjoint_int
+
+    def counted(key, fn):
+        def call(M):
+            calls[key] += 1
+            return fn(M)
+        return call
+
+    monkeypatch.setattr(fitting, "nrd", counted("nrd", nrd_))
+    monkeypatch.setattr(fitting, "_adjoint_int", counted("adj", adj_))
+    assert xi_approx(G).stable
+    assert calls["nrd"] == xi_nrd
+    v = delta_check(CentralElement.from_rational(G, G.order), G)
+    assert v.kind == "passed-budget"
+    assert calls["adj"] == delta_adjugates
 
 
 def test_delta_abelian_exact():
@@ -271,6 +359,53 @@ def test_delta_matches_the_group_ring_oracle_at_fixed_inputs(name, q, budget, ro
     v = delta_check(x, G, budget)
     assert (v.kind, v.witness) == _delta_oracle(x, G, budget)
     assert (v.witness.rows if v.witness else None) == rows
+
+
+@pytest.mark.parametrize("name, coords, budget, witness", [
+    # x nrd(g) is not integral at g = 1 or 2: the translate [[g]]
+    ("S3", (1, 0, 0), SMALL, {1: 1}), ("Q8", (1, 0, 0, 0, 0), SMALL, {2: 1}),
+    ("A4", (1, 0, 0, 0), SMALL, {1: 1}),
+    # every twist is integral, and a member -1 - g of the 1x1 family fails;
+    # no input is known where the first failing member is a translate or a
+    # conjugate of its representative, which is itself a member before them
+    ("S3", (0, 1, 0), Budget(), {0: -1, 1: -1}),
+    ("Q8", (2, 0, 0, 0, 0), Budget(), {0: -1, 2: -1}),
+    ("D4", (8, 0, 0, 0, 0), Budget(support=3, max_matrix_size=1), None),
+    ("S3", (0, 1, 0), Budget(support=3, max_matrix_size=1), {0: -1, 1: -1}),
+    ("S3", (6, 0, 0), Budget(support=3, max_matrix_size=1, max_candidates=150), None)])
+def test_delta_witness_is_the_first_failing_member(name, coords, budget, witness):
+    G = group_from_catalog(name)
+    x = CentralElement.from_coords(G, coords)
+    v = delta_check(x, G, budget)
+    assert (v.kind, v.witness) == _delta_oracle(x, G, budget)
+    if witness is None:
+        assert v.kind == "passed-budget"
+    else:
+        assert v.witness == GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.from_coeffs(
+            G, [witness.get(g, 0) for g in range(G.order)])]])
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+def test_translates_and_conjugates_share_nrd_and_adjoint_integrality(name):
+    # each member is y = h k r k^-1 for some k, nrd(y) = nrd(h) nrd(r), and
+    # x y* is integral exactly when x nrd(h) r* is, checked member by member
+    # in the group ring
+    G = group_from_catalog(name)
+    xs = [CentralElement.from_rational(G, q) for q in (1, 2, 3, G.order // 2)]
+    xs.append(CentralElement.from_coords(G, [int(i == 1) for i in range(len(G.conjugacy_classes))]))
+    star, norm = {}, {}
+    for pairs, h, r in fitting._small_elements(G, Budget())[0]:
+        for key in (((h, 1),), r):
+            if key not in norm:
+                M = fitting._element_matrix(G, key)
+                norm[key], star[key] = nrd(M), adjoint_star(M)
+        assert pairs in {tuple(sorted((G.mul(h, G.mul(G.mul(k, g), G.inv(k))), c) for g, c in r))
+                         for k in range(G.order)}
+        y = fitting._element_matrix(G, pairs)
+        assert nrd(y) == norm[((h, 1),)] * norm[r]
+        ystar = adjoint_star(y)
+        for x in xs:
+            assert _times_integral(x, ystar) == _times_integral(x * norm[((h, 1),)], star[r])
 
 
 @settings(max_examples=20, deadline=None)

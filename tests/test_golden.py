@@ -45,8 +45,16 @@ CASES = {
     "cyclo_f7_l3": ["cyclo", "--f", "7", "--ell", "3"],
     "suite_nrd_props": ["suite", "--name", "nrd-props", "--scale", "0.1"],
     "xi_q8": ["xi", "--group", "Q8", "--budget", '{"max_candidates": 2000}'],
+    "xi_s4": ["xi", "--group", "S4"],
     "annihilate_s3": ["annihilate", "--group", "S3", "--matrix", _in("s3_2x2.json"),
                       "--x", "order"],
+    # delta fails first at the translate [[g]], g the transposition labelled 1:
+    # x nrd(g) is not integral
+    "annihilate_s3_translate": ["annihilate", "--group", "S3", "--matrix", _in("s3_1x1_one.json"),
+                                "--x", '{"group": "S3", "values": ["1", "1", "1"]}'],
+    # delta fails first at the member -1 - g of its 1x1 family, with the same g
+    "annihilate_s3_witness": ["annihilate", "--group", "S3", "--matrix", _in("s3_2x2.json"),
+                              "--x", '{"group": "S3", "values": ["3", "-3", "0"]}'],
     "wedge_d4": ["wedge", "--group", "D4", "--elements", _in("d4_wedge_2x3.json")],
     "pair_s3": ["pair", "--group", "S3", "--homs", _in("s3_pair_homs_1x3.json"),
                 "--elements", _in("s3_pair_elements_2x3.json")],

@@ -39,14 +39,13 @@ its CycloNum views.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grax.cyclotomic import (CycloNum, _conjugates_and_norm, _mul_int, _reduce_poly,
-                             cyclo_from_int, det_adj_int, det_int, euler_phi)
+from grax.cyclotomic import (CycloNum, _conjugates_and_norm, _galois_int, _lift_int, _mul_int,
+                             _reduce_poly, cyclo_from_int, det_adj_int, det_int, euler_phi)
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
@@ -464,27 +463,44 @@ class CentralElement:
 
     def coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the conjugacy-class-sum basis of the rational center:
-        at each class representative g, sum_chi v_chi chi(1) chi(g^-1) / |G|."""
+        at each class representative g, sum_chi v_chi chi(1) chi(g^-1) / |G|.
+        The Fraction view of _coords_int."""
+        ints, den = self._coords_int()
+        return tuple(Fraction(v, den) for v in ints)
+
+    def _coords_int(self) -> tuple[list[int], int]:
+        """coords on integers: (ints, den) with coordinate k = ints[k] / den,
+        den > 0 and not reduced.  Each value's integer vector is lifted to
+        the exponent e, over the lcm of the value denominators, and at each
+        class one integer sum over _class_table is reduced once mod Phi_e; a
+        sum left with an irrational part is refused (AssertionError)."""
         G, e = self.group, self.group.exponent
-        # a rational value is its constant term alone, at any conductor
-        lifted = [v if v.is_rational() else v.lift(e) for v in self.values]
-        den = math.lcm(*(v.den for v in lifted))
-        # column i lists the i-th power-basis coordinate of each den chi(1) v_chi
-        columns = list(itertools.zip_longest(*([c * rep.degree * (den // v.den) for c in v.num]
-                                               for rep, v in zip(irreps(G), lifted)), fillvalue=0))
+        den = math.lcm(*(v.den for v in self.values))
+        # columns[i][chi] is coordinate i, at e, of den chi(1) v_chi; a
+        # rational value is its constant term alone, at any conductor
+        columns = {}
+        for chi, (rep, v) in enumerate(zip(irreps(G), self.values)):
+            w = rep.degree * (den // v.den)
+            num = v.num[:1] if v.is_rational() else _lift_int(v.num, v.n, e)
+            for i, c in enumerate(num):
+                if c:
+                    if i not in columns:
+                        columns[i] = [0] * len(self.values)
+                    columns[i][chi] = c * w
         table, out = _class_table(G), []
+        width = max(columns, default=0) + 1
         for cls in G.conjugacy_classes:
             conj = table[G.class_of[G.inverse[cls[0]]]]  # chi(g^-1)
-            acc = [0] * (len(columns) + len(conj) - 1)
-            for i, col in enumerate(columns):
+            acc = [0] * (width + len(conj) - 1)
+            for i, col in columns.items():
                 for j, t in enumerate(conj):
                     acc[i + j] += sum(map(operator.mul, col, t))
             if len(acc) > 1:  # one coordinate is rational as it stands
                 acc = _reduce_poly(acc, e)
                 if any(acc[1:]):
                     raise AssertionError("central element has non-rational class coordinates")
-            out.append(Fraction(acc[0], den * G.order))
-        return tuple(out)
+            out.append(acc[0])
+        return out, den * G.order
 
     @staticmethod
     def from_coords(G: FiniteGroup, coords) -> "CentralElement":
@@ -565,20 +581,26 @@ def galois_defect(G: FiniteGroup, values):
     """Why a tuple of character values is not a central element of Q[G]: a
     conductor that does not divide the exponent, or a Galois automorphism
     that does not permute the values as it permutes the characters.  None
-    when the tuple is consistent."""
+    when the tuple is consistent.
+
+    Runs on integers: each value num/den is lifted once to the exponent e
+    (a reduced power-basis vector), and sigma_a(v_i) = v_perm(i) is tested
+    as sigma_a(num_i) den_perm(i) = num_perm(i) den_i."""
     e = G.exponent
     if any(e % v.n for v in values):
         return "central value conductor does not divide the exponent"
     # where every sigma_a fixes every character, consistency is rationality
     if _galois_trivial(G) and all(v.is_rational() for v in values):
         return None
-    lifted = [v.lift(e) for v in values]
+    lifted = [(_lift_int(v.num, v.n, e), v.den) for v in values]
     for a in range(2, e):
         if math.gcd(a, e) != 1:
             continue
         perm = galois_permutation(G, a)
-        for i in range(len(values)):
-            if lifted[i].galois(a) != lifted[perm[i]]:
+        for i, (num, den) in enumerate(lifted):
+            other, other_den = lifted[perm[i]]
+            if ([x * other_den for x in _galois_int(num, e, a)]
+                    != [x * den for x in other]):
                 return f"Galois consistency fails for sigma_{a} at character {i}"
     return None
 

@@ -143,6 +143,16 @@ def _mul_int(x, y, n: int) -> list[int]:
     return _reduce_poly(_poly_mul(x, y), n)
 
 
+def _lift_int(x, n: int, m: int) -> list[int]:
+    """A power-basis integer vector at conductor n re-expressed at m, a
+    multiple of n, via zeta_n = zeta_m^(m/n): the coefficient of zeta_n^k
+    moves to zeta_m^(k m/n), and the result is reduced mod Phi_m."""
+    step = m // n
+    out = [0] * ((len(x) - 1) * step + 1)
+    out[::step] = x
+    return _reduce_poly(out, m)
+
+
 def _galois_int(x, n: int, a: int) -> list[int]:
     """The automorphism zeta_n -> zeta_n^a on a power-basis integer vector."""
     out = [0] * n
@@ -219,11 +229,7 @@ class CycloNum:
             return self
         if m % self.n:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
-        step = m // self.n
-        out = [0] * ((len(self.num) - 1) * step + 1)
-        for k, c in enumerate(self.num):
-            out[k * step] = c
-        return _canonical(m, _reduce_poly(out, m), self.den)
+        return _canonical(m, _lift_int(self.num, self.n, m), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)

@@ -49,10 +49,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from grax.algebra import (ZERO, CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          _adjoint_int, block_det, class_product, cleared_rows, int_block,
-                          nrd)
-from grax.cyclotomic import CycloNum
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
+                          _adjoint_int, _class_table, block_det, class_product, cleared_rows,
+                          int_block, nrd)
+from grax.cyclotomic import CycloNum, cyclo_from_int, euler_phi
 from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf
 from grax.reps import irreps
@@ -97,12 +97,29 @@ class CentralLattice:
     exact: bool = False
 
     def contains(self, x: CentralElement) -> bool:
-        return self.lattice.contains([c * self.denominator for c in x.coords()])
+        """Whether the central element x, over the same group, lies in the
+        lattice."""
+        self._check_group(x.group, "an element")
+        return self._holds(*x._coords_int())
 
     def contains_lattice(self, other: "CentralLattice") -> bool:
-        return all(self.lattice.contains([Fraction(v * self.denominator, other.denominator)
-                                          for v in row])
-                   for row in other.lattice.basis)
+        """Whether every element of other, over the same group, lies in the
+        lattice."""
+        self._check_group(other.group, "a lattice")
+        return all(self._holds(row, other.denominator) for row in other.lattice.basis)
+
+    def _check_group(self, group: FiniteGroup, what: str):
+        if group != self.group:
+            raise ValueError(f"{what} over {group.name} tested against a lattice "
+                             f"over {self.group.name}")
+
+    def _holds(self, ints, den: int) -> bool:
+        """Membership of the class coordinates ints / den: ints times
+        denominator / den must be an integer vector of the HNF lattice."""
+        scaled = [v * self.denominator for v in ints]
+        if any(v % den for v in scaled):
+            return False
+        return self.lattice.contains([v // den for v in scaled])
 
     def elements(self) -> list[CentralElement]:
         """Central elements corresponding to the HNF basis rows."""
@@ -119,10 +136,11 @@ class CentralLattice:
 
 def lattice_from_vectors(G: FiniteGroup, vectors, provenance=(),
                          stable=False, exact=False) -> CentralLattice:
-    """Canonical CentralLattice from rational class-sum coordinate vectors."""
-    coords = [[Fraction(c) for c in row] for row in vectors]
-    denom = math.lcm(1, *(c.denominator for row in coords for c in row))
-    rows = [[c.numerator * (denom // c.denominator) for c in row] for row in coords]
+    """Canonical CentralLattice from class-sum coordinate vectors of ints
+    and Fractions."""
+    vectors = [list(row) for row in vectors]
+    denom = math.lcm(1, *(c.denominator for row in vectors for c in row))
+    rows = [[c.numerator * (denom // c.denominator) for c in row] for row in vectors]
     return _lattice_from_int_rows(G, rows, denom, provenance, stable, exact)
 
 
@@ -142,9 +160,17 @@ def _lattice_from_int_rows(G: FiniteGroup, rows, denom: int, provenance=(),
 
 def lattice_from_central(G: FiniteGroup, gens, provenance=(),
                          stable=False, exact=False) -> CentralLattice:
-    """Canonical CentralLattice spanned over Z by the given central elements."""
-    return lattice_from_vectors(G, [g.coords() for g in gens],
-                                provenance, stable, exact)
+    """Canonical CentralLattice spanned over Z by the given central elements,
+    read from their integer class coordinates."""
+    return _lattice_from_int_rows(G, *_central_rows(gens), provenance, stable, exact)
+
+
+def _central_rows(gens):
+    """The integer class coordinates of central elements over one common
+    denominator (CentralElement._coords_int): (rows, denom)."""
+    cores = [g._coords_int() for g in gens]
+    denom = math.lcm(1, *(den for _, den in cores))
+    return [[v * (denom // den) for v in ints] for ints, den in cores], denom
 
 
 def _abelian_image_lattice(G: FiniteGroup) -> CentralLattice:
@@ -610,8 +636,10 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
     the ideal of (cols - a)-minors by direct Leibniz expansion.
 
     Independent of the fit_matrix code path: determinants are computed in
-    the commutative group ring itself and only then mapped to central
-    tuples character by character.
+    the commutative group ring itself (as _leibniz_int's integer vectors)
+    and only then mapped to central tuples character by character
+    (_char_values), which the Galois check of CentralElement and the class
+    coordinates (_coords_int) take back to the lattice.
     """
     G = M.group
     if not G.is_abelian():
@@ -619,25 +647,22 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
     if a < 0:
         raise ValueError("Fitting index must be nonnegative")
     k = M.cols - a
-    reps = irreps(G)
     if k <= 0:
         gens = [CentralElement.one(G)]
     else:
         gens = []
         for row_subset in itertools.combinations(range(M.rows), k):
             for col_subset in itertools.combinations(range(M.cols), k):
-                det = leibniz_det(G, [[M.entries[r][c] for c in col_subset]
-                                      for r in row_subset])
-                gens.append(CentralElement(G, tuple(char_value(rep, det) for rep in reps)))
+                vec, den = _leibniz_int(G, [[M.entries[r][c] for c in col_subset]
+                                            for r in row_subset])
+                gens.append(CentralElement(G, _char_values(G, vec, den)))
     # translating by a group element permutes class coordinates, so each
     # minor needs one coordinate conversion
-    vectors = []
-    for x in gens:
-        co = x.coords()
-        for g in range(G.order):
-            vectors.append([co[G.mul(G.inv(g), h)] for h in range(G.order)])
-    return lattice_from_vectors(G, vectors,
-                                (f"classical {k}-minors",), stable=True, exact=True)
+    coords, denom = _central_rows(gens)
+    rows = [[co[G.mul(G.inv(g), h)] for h in range(G.order)]
+            for co in coords for g in range(G.order)]
+    return _lattice_from_int_rows(G, rows, denom,
+                                  (f"classical {k}-minors",), stable=True, exact=True)
 
 
 def leibniz_det(G: FiniteGroup, grid) -> GroupAlgebraElement:
@@ -678,14 +703,35 @@ def _leibniz_int(G: FiniteGroup, grid):
 
 
 def char_value(rep, x: GroupAlgebraElement):
-    """The character of rep evaluated on a group-algebra element."""
-    acc = None
-    for g, c in enumerate(x.coeffs):
-        if c.is_zero():
-            continue
-        term = c * rep.character[g]
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else ZERO
+    """The character of the catalog irreducible rep evaluated on a rational
+    group-algebra element: one integer sum over the class table
+    (_char_values).  A coefficient outside Q is refused (ValueError, by
+    cleared_rows)."""
+    G = x.group
+    chi = next((i for i, r in enumerate(irreps(G)) if r is rep), None)
+    if chi is None:
+        raise ValueError(f"char_value takes a catalog irreducible of {G.name}")
+    [[pairs]], [den] = cleared_rows([[x]])
+    vec = [0] * G.order
+    for g, c in pairs:
+        vec[g] = c
+    return _char_values(G, vec, den)[chi]
+
+
+def _char_values(G: FiniteGroup, vec, den: int) -> tuple[CycloNum, ...]:
+    """Every catalog character at the element vec / den of Q[G], vec an
+    integer coefficient vector: chi(x) = sum_k s_k chi(g_k) / den, with s_k
+    the sum of vec over class k and chi(g_k) read from _class_table, one
+    integer vector per coordinate for all characters at once."""
+    sums = [0] * len(G.conjugacy_classes)
+    for g, c in enumerate(vec):
+        sums[G.class_of[g]] += c
+    acc = [[0] * len(irreps(G)) for _ in range(euler_phi(G.exponent))]
+    for s, row in zip(sums, _class_table(G)):
+        if s:
+            for j, col in enumerate(row):
+                acc[j] = [a + s * t for a, t in zip(acc[j], col)]
+    return tuple(cyclo_from_int(G.exponent, list(v), den) for v in zip(*acc))
 
 
 def fit_transpose(M: GroupAlgebraMatrix, a: int,
@@ -747,11 +793,10 @@ def annihilation_check(M: GroupAlgebraMatrix, x: CentralElement) -> bool:
     if not y.is_integral():
         raise ValueError("x * nrd(M) is not integral")
     # The image of x -> x*M has index D = |det| = |prod_chi nrd_chi(M)^chi(1)|,
-    # so it holds D*Z^N: with D*I rows first, its HNF runs modular throughout.
+    # so it holds D*Z^N and its HNF runs modulo D from the start.
     D = abs(int(math.prod(v ** r.degree for r, v in zip(irreps(G), n.values)).as_rational()))
     size = M.rows * G.order
-    image = hnf([[D * (i == j) for j in range(size)] for i in range(size)]
-                + regular_int_rows(M), size)
+    image = hnf(regular_int_rows(M), size, _index=D)
     if math.prod(row[i] for i, row in enumerate(image.basis)) != D:
         raise AssertionError("the image index is not |det| of the regular representation")
     # each target h * y e_j is a row of the regular representation of y I

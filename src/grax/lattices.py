@@ -4,9 +4,19 @@ The HNF convention is: basis rows sorted by pivot column, positive pivots,
 entries above each pivot reduced into [0, pivot).  This makes the basis a
 canonical form, so lattice equality is basis equality.
 
-A full-rank basis with pivot product d spans a lattice of index d, which
-holds d * Z^n, so its off-pivot entries are kept modulo d (Domich, Kannan
-and Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Alg. 2.4.8).
+One kernel, _hermite, computes it.  It holds its rows by pivot column and
+inserts the generators one at a time, each down its nonzero columns: a
+column without a row takes the vector as a new row, and otherwise one row
+operation (a multiple of the row, or an extended-gcd combination that
+replaces the row) clears the column; the vector is done when it is zero.
+
+The modulus rule (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987;
+Cohen, GTM 138, Alg. 2.4.8): once the span is known to hold d Z^n, every
+entry right of a pivot may be taken modulo d.  That holds from the start
+with a known index d, and otherwise from the moment the rows reach full
+rank, with d their pivot product, kept up to date as pivots shrink.  The
+inserted vector is reduced when a row operation has changed it, and a
+replaced row when it is rewritten.
 """
 
 from __future__ import annotations
@@ -34,61 +44,77 @@ def _pivot(row) -> int:
     return next(j for j, v in enumerate(row) if v)
 
 
-def _index(basis: list[list[int]], ncols: int) -> int:
-    """Pivot product of a full-rank basis (row i has pivot i), else 0."""
-    if len(basis) < ncols:
-        return 0
-    return math.prod(row[i] for i, row in enumerate(basis))
+def _hermite(gens, ncols: int, d: int = 0) -> list[list[int]]:
+    """The canonical HNF rows of the span of the integer vectors gens, or,
+    with d > 0, of that span plus d Z^ncols.
 
-
-def _mod_from(row: list[int], j: int, d: int) -> list[int]:
-    """row with its entries from column j on reduced into [0, d)."""
-    return row[:j] + [v % d for v in row[j:]]
-
-
-def _insert(basis: list[list[int]], vec: list[int]):
-    ncols = len(vec)
-    d = _index(basis, ncols)
-    for j in range(ncols):
-        if d:
-            vec = _mod_from(vec, j, d)
-        if not vec[j]:
-            continue
-        row = basis[j] if d else next((r for r in basis if _pivot(r) == j), None)
-        if row is None:
-            if vec[j] < 0:
-                vec = [-v for v in vec]
-            basis.append(vec)
-            basis.sort(key=_pivot)
-            return
-        a, b = row[j], vec[j]
-        if b % a == 0:
-            q = b // a
-            vec = [v - q * r for v, r in zip(vec, row)]
-        else:
-            x, y, g = _xgcd(a, b)
-            new_row = [x * r + y * v for r, v in zip(row, vec)]
-            vec = [(a // g) * v - (b // g) * r for v, r in zip(vec, row)]
-            if d:
-                d = d // a * g
-                new_row = _mod_from(new_row, j + 1, d)
-            row[:] = new_row
-
-
-def _reduce_above(basis: list[list[int]], ncols: int):
-    # Left-to-right: reducing with row i only touches columns >= pivot(i),
-    # so earlier pivot columns stay reduced.
-    basis.sort(key=_pivot)
-    d = _index(basis, ncols)
-    for i in range(len(basis)):
-        j = _pivot(basis[i])
-        p = basis[i][j]
-        for k in range(i):
-            q = basis[k][j] // p
+    rows[j] is the row with pivot column j, or None.  Left of column j the
+    inserted vector and rows[j] are zero, so each row operation runs on the
+    columns from j on.  With a known d a missing row stands for d e_j;
+    without one, d is 0 until the rows reach full rank and then their pivot
+    product, which a combination that takes pivot a to g = gcd(a, b)
+    divides by a / g.  The lists in gens are not modified."""
+    rows: list[list[int] | None] = [None] * ncols
+    track = not d
+    free = ncols if track else 0  # pivot columns still without a row
+    for vec in gens:
+        vec = [v % d for v in vec] if d else list(vec)
+        j = 0
+        while True:
+            while j < ncols and not vec[j]:
+                j += 1
+            if j == ncols:
+                break
+            b, row = vec[j], rows[j]
+            if row is None:
+                if not d:
+                    if b < 0:
+                        vec = [-v for v in vec]
+                    rows[j] = vec
+                    free -= 1
+                    if not free:
+                        d = math.prod(r[i] for i, r in enumerate(rows))
+                    break
+                # combine with the row d e_j: x d + y b = g
+                _, y, g = _xgcd(d, b)
+                rows[j] = [0] * j + [g] + [y * v % d for v in vec[j + 1:]]
+                vec[j:] = [0] + [d // g * v % d for v in vec[j + 1:]]
+            else:
+                a = row[j]
+                if b % a == 0:
+                    q = b // a
+                    if d:
+                        vec[j:] = [(v - q * r) % d for v, r in zip(vec[j:], row[j:])]
+                    else:
+                        vec[j:] = [v - q * r for v, r in zip(vec[j:], row[j:])]
+                else:
+                    x, y, g = _xgcd(a, b)
+                    s, t = a // g, b // g
+                    if track:
+                        d = d // a * g
+                    pairs = list(zip(row[j + 1:], vec[j + 1:]))
+                    if d:
+                        rows[j] = row[:j] + [g] + [(x * r + y * v) % d for r, v in pairs]
+                        vec[j:] = [0] + [(s * v - t * r) % d for r, v in pairs]
+                    else:
+                        rows[j] = row[:j] + [g] + [x * r + y * v for r, v in pairs]
+                        vec[j:] = [0] + [s * v - t * r for r, v in pairs]
+            j += 1
+    if not track:
+        rows = [[0] * j + [d] + [0] * (ncols - j - 1) if r is None else r
+                for j, r in enumerate(rows)]
+    basis = [(j, r) for j, r in enumerate(rows) if r is not None]
+    # entries above each pivot into [0, pivot), left to right: reducing with
+    # the row of pivot j only touches columns >= j, so earlier pivot columns
+    # stay reduced
+    for i, (j, ri) in enumerate(basis):
+        p = ri[j]
+        for _, rk in basis[:i]:
+            q = rk[j] // p
             if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
-                if d:
-                    basis[k] = _mod_from(basis[k], k + 1, d)
+                tail = [u - q * v for u, v in zip(rk[j:], ri[j:])]
+                rk[j:] = [v % d for v in tail] if d else tail
+    return [r for _, r in basis]
 
 
 @dataclass(frozen=True)
@@ -124,19 +150,19 @@ def _as_int(v) -> int:
     raise ValueError(f"hnf needs integer generators, not {v!r}")
 
 
-def hnf(generators, ambient_rank: int | None = None) -> IntLattice:
+def hnf(generators, ambient_rank: int | None = None, *, _index: int = 0) -> IntLattice:
     """Hermite normal form lattice of the integer span of the generators,
-    whose entries must be ints or integral Fractions."""
+    whose entries must be ints or integral Fractions.
+
+    _index, when positive, is an index the span is known to have (it holds
+    _index Z^n): the kernel then runs modulo it from the start, and returns
+    the span plus _index Z^n, which is the span itself when it is right."""
     gens = [[v if type(v) is int else _as_int(v) for v in g] for g in generators]
     if ambient_rank is None:
         ambient_rank = len(gens[0]) if gens else 0
-    basis: list[list[int]] = []
-    for g in gens:
-        if len(g) != ambient_rank:
-            raise ValueError("generators must share one ambient rank")
-        if any(g):
-            _insert(basis, list(g))
-    _reduce_above(basis, ambient_rank)
+    if any(len(g) != ambient_rank for g in gens):
+        raise ValueError("generators must share one ambient rank")
+    basis = _hermite(gens, ambient_rank, _index)
     return IntLattice(ambient_rank, tuple(tuple(r) for r in basis))
 
 

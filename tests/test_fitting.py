@@ -483,6 +483,31 @@ def test_fit_chain_s3():
         assert f[2].contains_lattice(f[1])
 
 
+def test_containment_refuses_an_element_or_lattice_over_another_group():
+    # S3 and C3 both have three classes, so their class coordinates have one
+    # length; unchecked, S3's xi "contained" C3's 1 and C3's unit lattice
+    S3, C3 = group_from_catalog("S3"), group_from_catalog("C3")
+    xi = xi_approx(S3, SMALL)
+    with pytest.raises(ValueError, match="^an element over C3 tested against a lattice over S3$"):
+        xi.contains(CentralElement.one(C3))
+    with pytest.raises(ValueError, match="^a lattice over C3 tested against a lattice over S3$"):
+        xi.contains_lattice(lattice_from_central(C3, [CentralElement.one(C3)]))
+    assert xi.contains(CentralElement.one(S3))
+    assert xi.contains_lattice(lattice_from_central(S3, [CentralElement.one(S3)]))
+
+
+def test_contains_lattice_across_denominators():
+    # a basis row v of other stands for v / other.denominator
+    G = group_from_catalog("Q8")
+    one = CentralElement.one(G)
+    units, halves = (lattice_from_central(G, [one * q]) for q in (1, Fraction(1, 2)))
+    thirds = lattice_from_central(G, [one * Fraction(2, 3), one])
+    assert halves.denominator == 2 and thirds.denominator == 3
+    assert halves.contains_lattice(units) and not units.contains_lattice(halves)
+    assert thirds.contains_lattice(units) and not thirds.contains_lattice(halves)
+    assert not units.contains(one * Fraction(2, 3)) and thirds.contains(one * Fraction(-4, 3))
+
+
 def test_fit_oracle_rejects_nonabelian():
     G = group_from_catalog("S3")
     with pytest.raises(ValueError):

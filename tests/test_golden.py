@@ -36,6 +36,10 @@ CASES = {
                "--oracle-check"],
     "fit_c4_a2": ["fit", "--group", "C4", "--matrix", _in("c4_3x2.json"), "--a", "2",
                   "--oracle-check"],
+    # a proper sublattice of index 24 over C8: the modular phase of the HNF
+    # and the oracle's integer characters at conductor 8
+    "fit_c8_oracle": ["fit", "--group", "C8", "--matrix", _in("c8_3x3.json"), "--a", "1",
+                      "--oracle-check"],
     "fit_q8_3x2": ["fit", "--group", "Q8", "--matrix", _in("q8_3x2.json"), "--a", "1"],
     "fit_s3": ["fit", "--group", "S3", "--matrix", _in("s3_2x2.json"), "--a", "1",
                "--budget", '{"max_matrix_size": 2, "max_candidates": 2000}'],

@@ -437,6 +437,7 @@ class CentralElement:
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
+            self._check(other)
             return CentralElement(self.group,
                                   tuple(a * b for a, b in zip(self.values, other.values)))
         if isinstance(other, (int, Fraction, CycloNum)):
@@ -447,12 +448,18 @@ class CentralElement:
     __rmul__ = __mul__
 
     def __add__(self, other):
+        self._check(other)
         return CentralElement(self.group,
                               tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other):
+        self._check(other)
         return CentralElement(self.group,
                               tuple(a - b for a, b in zip(self.values, other.values)))
+
+    def _check(self, other):
+        if not isinstance(other, CentralElement) or other.group is not self.group:
+            raise ValueError("group mismatch in central-element arithmetic")
 
     def __neg__(self):
         return CentralElement(self.group, tuple(-a for a in self.values))

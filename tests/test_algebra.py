@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -117,6 +118,16 @@ def test_nrd_multiplicative_d4():
     for _ in range(25):
         A, B = rand_gam(rng, G, 2, 2), rand_gam(rng, G, 2, 2)
         assert nrd(A * B) == nrd(A) * nrd(B)
+
+
+def test_central_arithmetic_refuses_another_group():
+    # S3 and C3 both have three irreducibles, so their values would pair up
+    S3, C3 = group_from_catalog("S3"), group_from_catalog("C3")
+    x, y = CentralElement.one(S3), CentralElement.one(C3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="group mismatch"):
+            op(x, y)
+    assert x + x == CentralElement.from_rational(S3, 2)
 
 
 def test_nrd_requires_square():

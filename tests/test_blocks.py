@@ -1,8 +1,9 @@
 """Integer Wedderburn blocks, their fraction-free determinants and adjugates,
 and the integer Fourier inversion, checked against the splitting field:
-blocks summed from the CycloNum matrices of each representation
-(rep_of_element), determinants by linalg.mat_det, inverses by
-linalg.mat_inverse, and the CycloNum Fourier loop over rho(g^-1).  Also the
+blocks summed from a CycloNum view of each representation's integer
+images (field_view.field_matrices, in rep_of_element), determinants by
+linalg.mat_det, inverses by linalg.mat_inverse, and the CycloNum Fourier
+loop over rho(g^-1).  Also the
 one boundary of the block path: a coefficient outside Q is refused
 everywhere with the same ValueError."""
 
@@ -22,6 +23,8 @@ from grax.fitting import (Budget, fit_matrix, lattice_from_central, leibniz_det,
 from grax.groups import group_from_catalog
 from grax.linalg import mat_det, mat_inverse
 from grax.reps import irreps
+
+from field_view import field_matrices
 
 CONDUCTORS = [1, 3, 4, 5, 8, 12]
 
@@ -94,11 +97,11 @@ def _rational_matrices(draw):
 
 
 def rep_of_element(x, rep):
-    """The matrix sum(coeff_g * rho(g)) over the splitting field, from the
-    CycloNum matrices of rep (not its integer images)."""
+    """The matrix sum(coeff_g * rho(g)) over the splitting field, summed in
+    CycloNum over the test-side view of rep (not int_block)."""
     c = rep.degree
     out = [[CycloNum.from_rational(0)] * c for _ in range(c)]
-    for a, m in zip(x.coeffs, rep.matrices):
+    for a, m in zip(x.coeffs, field_matrices(rep)):
         if a:
             for i in range(c):
                 for j in range(c):
@@ -122,8 +125,9 @@ def _field_fourier(M, blocks):
     """The matrix over the splitting field with the given block at each
     character: coefficient g of entry (u, v) is
     (1/|G|) sum_chi chi(1) tr(A_chi rho_chi(g^-1)), summed in CycloNum over
-    the representation matrices."""
+    the test-side view of the representations."""
     G, reps = M.group, irreps(M.group)
+    views = [field_matrices(rep) for rep in reps]
     grid = []
     for u in range(M.rows):
         row = []
@@ -131,8 +135,8 @@ def _field_fourier(M, blocks):
             coeffs = []
             for g in range(G.order):
                 acc = CycloNum.from_rational(0)
-                for rep, b in zip(reps, blocks):
-                    c, m = rep.degree, rep.matrices[G.inv(g)]
+                for rep, view, b in zip(reps, views, blocks):
+                    c, m = rep.degree, view[G.inv(g)]
                     for i in range(c):
                         for j in range(c):
                             acc = acc + b[u * c + i][v * c + j] * m[j][i] * c

@@ -1,12 +1,20 @@
 """Group catalog and irreducible-representation data, checked exactly."""
 
+import math
+
 import pytest
 
+from grax import reps as reps_module
 from grax.algebra import GroupAlgebraElement
 from grax.cyclotomic import CycloNum
-from grax.groups import _cyclic_table, _finish, _product_table, group_from_catalog
-from grax.reps import central_idempotent, contragredient, contragredient_permutation, irreps
+from grax.groups import (_cyclic_table, _finish, _product_table, group_from_catalog,
+                         perm_elements_of, perm_sign)
+from grax.reps import (central_idempotent, contragredient, contragredient_permutation,
+                       galois_permutation, irreps)
 
+from field_view import field_matrices
+
+ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
 
 CATALOG = ["C1", "C2", "C6", "C8", "C2xC3", "D4", "D5", "S3", "S4", "A4", "Q8"]
@@ -67,17 +75,61 @@ def test_degree_patterns():
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_homomorphism_on_all_pairs(name):
-    # construction re-verifies, but assert independently on the stored data
+    # construction checks the generators only; every pair and every trace,
+    # on the test-side CycloNum view of the integer images
     G = group_from_catalog(name)
     for rep in irreps(G):
-        c = rep.degree
+        c, mats = rep.degree, field_matrices(rep)
         for a in range(G.order):
+            assert sum((mats[a][i][i] for i in range(c)), ZERO) == rep.character[a]
             for b in range(G.order):
-                m = rep.matrices[G.mul(a, b)]
-                prod = [[sum((rep.matrices[a][i][t] * rep.matrices[b][t][j]
-                              for t in range(c)), CycloNum.from_rational(0))
+                m = mats[G.mul(a, b)]
+                prod = [[sum((mats[a][i][t] * mats[b][t][j] for t in range(c)), ZERO)
                          for j in range(c)] for i in range(c)]
                 assert all(prod[i][j] == m[i][j] for i in range(c) for j in range(c))
+
+
+def test_model_corrupted_outside_the_generators_is_refused():
+    # a label that is neither a generator nor a product of two, so only
+    # the check at a = g s^-1 can reach it
+    G = group_from_catalog("S4")
+    gens = reps_module._generators(G)
+    near = {G.mul(a, s) for a in [0] + gens for s in gens}
+    g = next(g for g in range(1, G.order) if g not in near)
+    mats = [reps_module._perm_matrix_deleted(p) for p in perm_elements_of(G)]
+    reps_module._make_rep(G, mats)
+    mats[g] = tuple(tuple(-e for e in row) for row in mats[g])
+    with pytest.raises(AssertionError, match="homomorphism"):
+        reps_module._make_rep(G, mats)
+
+
+def test_model_without_the_identity_is_refused():
+    # a constant projection P satisfies P P = P at every pair
+    G = group_from_catalog("S3")
+    with pytest.raises(AssertionError, match="identity"):
+        reps_module._make_rep(G, [((ONE, ZERO), (ZERO, ZERO))] * G.order)
+
+
+def test_reducible_model_is_refused():
+    # diag(1, sign): degrees 1, 1, 2 still sum to |G| in squares, and the
+    # characters are distinct, but <chi, chi> = 2|G|
+    G = group_from_catalog("S3")
+    triv, sign, _ = irreps(G)
+    red = reps_module._make_rep(G, [((ONE, ZERO), (ZERO, CycloNum.from_rational(perm_sign(p))))
+                                    for p in perm_elements_of(G)])
+    with pytest.raises(AssertionError, match="not irreducible"):
+        reps_module._check_complete(G, [triv, sign, red])
+
+
+def test_repeated_or_missing_character_is_refused():
+    G = group_from_catalog("S3")
+    triv, sign, std = irreps(G)
+    # 1 + 1 + 4 = |G|, each character irreducible: only distinctness fails
+    with pytest.raises(AssertionError, match="repeats"):
+        reps_module._check_complete(G, [triv, triv, std])
+    with pytest.raises(AssertionError, match="squared degrees"):
+        reps_module._check_complete(G, [triv, sign])
+    reps_module._check_complete(G, [triv, sign, std])
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -158,3 +210,44 @@ def test_contragredient_preserves_degree(name):
     G = group_from_catalog(name)
     for rep in irreps(G):
         assert contragredient(rep).degree == rep.degree
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_contragredient_is_the_transpose_at_the_inverse(name):
+    G = group_from_catalog(name)
+    for rep in irreps(G):
+        c, dual = rep.degree, contragredient(rep)
+        assert dual.conductor == rep.conductor
+        mats, dual_mats = field_matrices(rep), field_matrices(dual)
+        for g in range(G.order):
+            m = mats[G.inv(g)]
+            assert dual_mats[g] == [[m[j][i] for j in range(c)] for i in range(c)]
+            assert dual.character[g] == rep.character[G.inv(g)]
+
+
+def _galois_permutation_reference(G, a):
+    """Every character lifted to the exponent e, sigma_a applied to each
+    value, and the result matched among the lifted characters on all labels."""
+    lifted = [tuple(v.lift(G.exponent) for v in r.character) for r in irreps(G)]
+    return tuple(lifted.index(tuple(v.galois(a) for v in ch)) for ch in lifted)
+
+
+@pytest.mark.parametrize("name", CATALOG + ["C12", "C3xC4", "D6"])
+def test_galois_permutation_matches_lift_and_galois(name):
+    G = group_from_catalog(name)
+    e = G.exponent
+    for a in range(1, max(e, 2)):
+        if math.gcd(a, e) == 1:
+            assert galois_permutation(G, a) == _galois_permutation_reference(G, a)
+    if e > 1:
+        with pytest.raises(ValueError, match="not coprime"):
+            galois_permutation(G, e if e % 2 else 2)
+
+
+@pytest.mark.parametrize("name", CATALOG + ["C12", "C3xC4", "D6"])
+def test_contragredient_permutation_matches_the_inverse_character(name):
+    G = group_from_catalog(name)
+    rs, perm = irreps(G), contragredient_permutation(G)
+    assert sorted(perm) == list(range(len(rs)))
+    for r, j in zip(rs, perm):
+        assert all(rs[j].character[g] == r.character[G.inv(g)] for g in range(G.order))

@@ -10,16 +10,17 @@ lattices live in class-sum coordinates.  One cached character table, its
 entries as power-basis integer vectors at e (_class_table), links the two:
 coords and from_coords are integer sums over it for every group.
 
-Matrices take rational coefficients, and their blocks are built on
-integers.  Every catalog model is integral, so each IrreducibleRep holds
-rho(g) as power-basis integer vectors at its conductor n (`images`).  A
-matrix's rows are cleared of denominators once by cleared_rows, the one
-place that refuses a coefficient outside Q (ValueError), and its block at
-a character is one integer sum per entry (int_block); wedderburn_block is
-its CycloNum view.  nrd takes each block's determinant by fraction-free
-Bareiss elimination over Z[zeta_n] (cyclotomic.det_int), whose exact
-divisions multiply by the other Galois conjugates of the previous pivot
-and divide by its integer norm.
+A group-ring element lies in Q[G] by its type: integer numerators over
+one denominator (GroupAlgebraElement), whose constructors are the one
+place that refuses a coefficient outside Q (ValueError).  Every catalog
+model is integral, so each IrreducibleRep holds rho(g) as power-basis
+integer vectors at its conductor n (`images`).  A matrix's rows are
+cleared of denominators once (cleared_rows reads the stored integers), and
+its block at a character is one integer sum per entry (int_block);
+wedderburn_block is its CycloNum view.  nrd takes each block's
+determinant by fraction-free Bareiss elimination over Z[zeta_n]
+(cyclotomic.det_int), whose exact divisions multiply by the other Galois
+conjugates of the previous pivot and divide by its integer norm.
 
 Generalized adjoints and inverses run on the same integers.  The
 Gauss-Jordan form of that elimination (cyclotomic.det_adj_int) takes a
@@ -29,11 +30,11 @@ det(B) = 0, and M^-1 is adj(B) D / det(B), a division by the norm of
 det(B).  The library has one Fourier inversion, _fourier_int: coefficient
 g is (1/|G|) sum_chi chi(1) tr(A_chi rho_chi(g^-1)) over the integer
 images, each character's products lifted unreduced to the exponent e over
-one common denominator and reduced once mod Phi_e.  adjoint_star and
-gam_inverse read it directly, with a non-rational coefficient refused
-(AssertionError); delta_check reads M* as an integer grid over one
-denominator (_adjoint_int); matrix_from_blocks and wedderburn_inverse are
-its CycloNum views.
+one common denominator and reduced once mod Phi_e.  Its one view in
+Q[G], _fourier_rational, refuses an inversion outside Q[G] (ValueError);
+adjoint_star, gam_inverse, matrix_from_blocks and wedderburn_inverse read
+it, and delta_check reads M* as an integer grid over one denominator
+(_adjoint_int).
 """
 
 from __future__ import annotations
@@ -49,32 +50,57 @@ from grax.cyclotomic import (CycloNum, _conjugates_and_norm, _galois_int, _lift_
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
-ZERO = CycloNum.from_rational(0)
 ONE = CycloNum.from_rational(1)
 
 
-def _as_cyclo(v) -> CycloNum:
-    if isinstance(v, CycloNum):
-        return v
-    return CycloNum.from_rational(v)
+def _rational(c):
+    """c as an int or a Fraction: c may be either, or a rational CycloNum.
+    Anything else is refused (ValueError)."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, CycloNum) and c.is_rational():
+        return c.as_rational()
+    raise ValueError("group-ring elements are taken here with rational coefficients")
 
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """An element of the group algebra: one coefficient per group label."""
+    """An element of Q[G]: the coefficient of group label g is num[g] / den.
+
+    The pair is canonical (den > 0, gcd(den, *num) = 1, zero is 0/1), so
+    equality is tuple equality.  The constructors from_coeffs and basis and
+    the scalar product take an int, a Fraction or a rational CycloNum and
+    refuse any other coefficient (ValueError): every element is in Q[G] by
+    its type.  coeffs is a CycloNum view, built on each read.
+    """
 
     group: FiniteGroup
-    coeffs: tuple[CycloNum, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def _reduced(G: FiniteGroup, num, den: int = 1) -> "GroupAlgebraElement":
+        """The element num / den (den nonzero) with the common content and
+        the sign of den divided out."""
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return GroupAlgebraElement(G, tuple(num), den)
 
     @staticmethod
     def zero(G: FiniteGroup) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(G, (ZERO,) * G.order)
+        return GroupAlgebraElement(G, (0,) * G.order)
 
     @staticmethod
     def basis(G: FiniteGroup, g: int, scale=1) -> "GroupAlgebraElement":
-        coeffs = [ZERO] * G.order
-        coeffs[g] = _as_cyclo(scale)
-        return GroupAlgebraElement(G, tuple(coeffs))
+        q = _rational(scale)
+        num = [0] * G.order
+        num[g] = q.numerator
+        return GroupAlgebraElement(G, tuple(num), q.denominator)
 
     @staticmethod
     def one(G: FiniteGroup) -> "GroupAlgebraElement":
@@ -82,68 +108,70 @@ class GroupAlgebraElement:
 
     @staticmethod
     def from_coeffs(G: FiniteGroup, coeffs) -> "GroupAlgebraElement":
-        coeffs = tuple(_as_cyclo(c) for c in coeffs)
-        if len(coeffs) != G.order:
+        qs = [_rational(c) for c in coeffs]
+        if len(qs) != G.order:
             raise ValueError("coefficient count must equal the group order")
-        return GroupAlgebraElement(G, coeffs)
+        # each q is in lowest terms, so num and den have no common factor
+        den = math.lcm(*(q.denominator for q in qs))
+        return GroupAlgebraElement(G, tuple(q.numerator * (den // q.denominator) for q in qs), den)
+
+    @property
+    def coeffs(self) -> tuple[CycloNum, ...]:
+        """The coefficients as rational CycloNums, built on each read;
+        arithmetic reads num and den."""
+        return tuple(cyclo_from_int(1, (c,), self.den) for c in self.num)
 
     def __add__(self, other):
         self._check(other)
-        return GroupAlgebraElement(
-            self.group, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d = math.lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return GroupAlgebraElement._reduced(
+            self.group, [a * x + b * y for x, y in zip(self.num, other.num)], d)
 
     def __sub__(self, other):
         self._check(other)
-        return GroupAlgebraElement(
-            self.group, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self):
-        return GroupAlgebraElement(self.group, tuple(-a for a in self.coeffs))
+        return GroupAlgebraElement(self.group, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycloNum)):
-            c = _as_cyclo(other)
-            return GroupAlgebraElement(self.group, tuple(a * c for a in self.coeffs))
-        self._check(other)
         G = self.group
-        out = [ZERO] * G.order
-        for g, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for h, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    k = G.mul(g, h)
-                    out[k] = out[k] + a * b
-        return GroupAlgebraElement(G, tuple(out))
-
-    def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CycloNum)):
-            return self * other
-        return NotImplemented
+            q = _rational(other)
+            return GroupAlgebraElement._reduced(G, [x * q.numerator for x in self.num],
+                                                self.den * q.denominator)
+        self._check(other)
+        table = G.mul_table
+        right = [(h, y) for h, y in enumerate(other.num) if y]
+        out = [0] * G.order
+        for g, x in enumerate(self.num):
+            if x:
+                row = table[g]
+                for h, y in right:
+                    out[row[h]] += x * y
+        return GroupAlgebraElement._reduced(G, out, self.den * other.den)
+
+    __rmul__ = __mul__  # reached only for scalars, which commute
 
     def involute(self) -> "GroupAlgebraElement":
         """The anti-involution sum c_g g  ->  sum c_g g^(-1)."""
-        G = self.group
-        out = [ZERO] * G.order
-        for g, a in enumerate(self.coeffs):
-            out[G.inv(g)] = a
-        return GroupAlgebraElement(G, tuple(out))
+        inverse = self.group.inverse
+        return GroupAlgebraElement(self.group, tuple(self.num[inverse[g]]
+                                                     for g in range(len(self.num))), self.den)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c.is_rational() for c in self.coeffs)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
-        return all(c.is_integral() and c.is_rational() for c in self.coeffs)
+        return self.den == 1
 
     def _check(self, other):
         if not isinstance(other, GroupAlgebraElement) or other.group is not self.group:
             raise ValueError("group mismatch in group-algebra arithmetic")
 
     def __repr__(self):
-        terms = [f"{c!r}*[{g}]" for g, c in enumerate(self.coeffs) if not c.is_zero()]
+        terms = [f"{Fraction(c, self.den)}*[{g}]" for g, c in enumerate(self.num) if c]
         return f"GAE({self.group.name}: {' + '.join(terms) or '0'})"
 
 
@@ -201,15 +229,18 @@ class GroupAlgebraMatrix:
         return NotImplemented
 
     def __add__(self, other):
-        if not isinstance(other, GroupAlgebraMatrix):
-            return NotImplemented
-        return GroupAlgebraMatrix.from_entries(
-            self.group, [[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(other, GroupAlgebraElement.__add__)
 
     def __sub__(self, other):
+        return self._entrywise(other, GroupAlgebraElement.__sub__)
+
+    def _entrywise(self, other, op):
+        if not isinstance(other, GroupAlgebraMatrix):
+            return NotImplemented
+        if other.group is not self.group or (other.rows, other.cols) != (self.rows, self.cols):
+            raise ValueError("shape or group mismatch")
         return GroupAlgebraMatrix.from_entries(
-            self.group, [[a - b for a, b in zip(r1, r2)]
+            self.group, [[op(a, b) for a, b in zip(r1, r2)]
                          for r1, r2 in zip(self.entries, other.entries)])
 
     def transpose(self) -> "GroupAlgebraMatrix":
@@ -224,9 +255,6 @@ class GroupAlgebraMatrix:
 
     def is_integral(self) -> bool:
         return all(e.is_integral() for row in self.entries for e in row)
-
-    def is_rational(self) -> bool:
-        return all(e.is_rational() for row in self.entries for e in row)
 
     def row(self, i: int) -> tuple[GroupAlgebraElement, ...]:
         return self.entries[i]
@@ -244,19 +272,14 @@ def wedderburn(x: GroupAlgebraElement):
 
 
 def cleared_rows(grid):
-    """A grid of rational group-algebra elements with each row cleared of
+    """A grid of group-algebra elements with each row cleared of
     denominators once: (rows, dens), where rows[u][v] lists the nonzero
     (label, integer coefficient) pairs of dens[u] times entry (u, v) and
-    dens[u] is the lcm of row u's coefficient denominators.  A coefficient
-    outside Q puts 0, never a denominator, in the set and is refused."""
+    dens[u] is the lcm of row u's element denominators."""
     rows, dens = [], []
     for row in grid:
-        found = {c.den if c.n == 1 or not any(c.num[1:]) else 0 for e in row for c in e.coeffs}
-        if 0 in found:
-            raise ValueError("group-ring matrices are taken here with rational coefficients")
-        d = math.lcm(*found)
-        rows.append([[(g, c.num[0] * (d // c.den)) for g, c in enumerate(e.coeffs) if c]
-                     for e in row])
+        d = math.lcm(*(e.den for e in row))
+        rows.append([[(g, c * (d // e.den)) for g, c in enumerate(e.num) if c] for e in row])
         dens.append(d)
     return rows, dens
 
@@ -316,8 +339,9 @@ def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
 
 def matrix_from_blocks(G: FiniteGroup, rows: int, cols: int, blocks) -> GroupAlgebraMatrix:
     """Reassemble a group-algebra matrix from its per-character block images:
-    the CycloNum view of _fourier_int, each block over one denominator at
-    the conductor of its entries."""
+    _fourier_rational of each block over one denominator at the conductor
+    of its entries.  An entry whose conductor does not divide the exponent,
+    or blocks whose inversion is not in Q[G], raise ValueError."""
     reps = irreps(G)
     if len(blocks) != len(reps):
         raise ValueError("block count must match the number of irreducibles")
@@ -327,14 +351,12 @@ def matrix_from_blocks(G: FiniteGroup, rows: int, cols: int, blocks) -> GroupAlg
         if len(b) != rows * c or any(len(r) != cols * c for r in b):
             raise ValueError("block shape mismatch with irreducible degrees")
         k = math.lcm(1, *(x.n for r in b for x in r))
+        if G.exponent % k:
+            raise ValueError(f"a block entry at conductor {k} is outside Q(zeta_{G.exponent})")
         lifted = [[x.lift(k) for x in r] for r in b]
         den = math.lcm(1, *(x.den for r in lifted for x in r))
         ints.append(([[[v * (den // x.den) for v in x.num] for x in r] for r in lifted], den, k))
-    m = math.lcm(G.exponent, *(k for _, _, k in ints))
-    entries, den = _fourier_int(G, rows, cols, ints, m)
-    return GroupAlgebraMatrix.from_entries(
-        G, [[GroupAlgebraElement(G, tuple(cyclo_from_int(m, v, den) for v in e)) for e in row]
-            for row in entries])
+    return _rational_matrix(G, *_fourier_rational(G, rows, cols, ints))
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,11 +426,11 @@ def _fourier_int(G: FiniteGroup, rows: int, cols: int, blocks, m: int):
 def _fourier_rational(G: FiniteGroup, rows: int, cols: int, blocks):
     """_fourier_int at the exponent for blocks whose inversion lies in
     Q[G]: (grid, den) with grid[u][v] the integer coefficient list of
-    den times entry (u, v).  A non-rational coefficient raises
-    AssertionError."""
+    den times entry (u, v).  An inversion outside Q[G] raises ValueError."""
     entries, den = _fourier_int(G, rows, cols, blocks, G.exponent)
     if any(any(v[1:]) for row in entries for e in row for v in e):
-        raise AssertionError("a Fourier inversion failed to descend to Q[G]")
+        raise ValueError("these blocks invert outside Q[G], whose elements take "
+                         "rational coefficients")
     return [[[v[0] for v in e] for e in row] for row in entries], den
 
 
@@ -433,7 +455,7 @@ class CentralElement:
 
     @staticmethod
     def from_rational(G: FiniteGroup, q) -> "CentralElement":
-        return CentralElement(G, (_as_cyclo(q),) * len(irreps(G)))
+        return CentralElement(G, (CycloNum.from_rational(q),) * len(irreps(G)))
 
     def __mul__(self, other):
         if isinstance(other, CentralElement):
@@ -441,7 +463,7 @@ class CentralElement:
             return CentralElement(self.group,
                                   tuple(a * b for a, b in zip(self.values, other.values)))
         if isinstance(other, (int, Fraction, CycloNum)):
-            c = _as_cyclo(other)
+            c = other if isinstance(other, CycloNum) else CycloNum.from_rational(other)
             return CentralElement(self.group, tuple(a * c for a in self.values))
         return NotImplemented
 
@@ -524,9 +546,9 @@ class CentralElement:
                                        for rep, v in zip(irreps(G), zip(*acc))))
 
     def to_group_algebra(self) -> GroupAlgebraElement:
-        coords = self.coords()
-        return GroupAlgebraElement.from_coeffs(
-            self.group, [coords[k] for k in self.group.class_of])
+        ints, den = self._coords_int()
+        return GroupAlgebraElement._reduced(self.group, [ints[k] for k in self.group.class_of],
+                                            den)
 
     def is_integral(self) -> bool:
         """Componentwise integrality over Z (power-basis coordinates in Z)."""
@@ -676,8 +698,7 @@ def _adjoint_int(M: GroupAlgebraMatrix):
 def _rational_matrix(G: FiniteGroup, grid, den: int) -> GroupAlgebraMatrix:
     """The matrix over Q[G] with entry (u, v) = grid[u][v] / den."""
     return GroupAlgebraMatrix.from_entries(
-        G, [[GroupAlgebraElement(G, tuple(cyclo_from_int(1, [x], den) for x in e)) for e in row]
-            for row in grid])
+        G, [[GroupAlgebraElement._reduced(G, e, den) for e in row] for row in grid])
 
 
 def adjoint_star(M: GroupAlgebraMatrix) -> GroupAlgebraMatrix:

@@ -134,16 +134,6 @@ class CentralLattice:
                 and self.lattice == other.lattice)
 
 
-def lattice_from_vectors(G: FiniteGroup, vectors, provenance=(),
-                         stable=False, exact=False) -> CentralLattice:
-    """Canonical CentralLattice from class-sum coordinate vectors of ints
-    and Fractions."""
-    vectors = [list(row) for row in vectors]
-    denom = math.lcm(1, *(c.denominator for row in vectors for c in row))
-    rows = [[c.numerator * (denom // c.denominator) for c in row] for row in vectors]
-    return _lattice_from_int_rows(G, rows, denom, provenance, stable, exact)
-
-
 def _lattice_from_int_rows(G: FiniteGroup, rows, denom: int, provenance=(),
                            stable=False, exact=False) -> CentralLattice:
     """Canonical CentralLattice spanned by integer class-sum rows over one
@@ -177,7 +167,7 @@ def _abelian_image_lattice(G: FiniteGroup) -> CentralLattice:
     # class coordinates of the image of g are its coefficient vector, so the
     # image of Z[G] is the full integer lattice
     rows = [[int(i == j) for j in range(G.order)] for i in range(G.order)]
-    return lattice_from_vectors(G, rows, ("image of Z[G]",), stable=True, exact=True)
+    return _lattice_from_int_rows(G, rows, 1, ("image of Z[G]",), stable=True, exact=True)
 
 
 def _small_elements(G: FiniteGroup, budget: Budget):
@@ -423,21 +413,17 @@ def delta_check(x: CentralElement, G: FiniteGroup,
 
     table = G.mul_table
 
-    def cleared(c: GroupAlgebraElement):
-        [[pairs]], [den] = cleared_rows([[c]])
-        return pairs, den
-
-    def integral(c, star) -> bool:
-        # c = (pairs, d) from cleared and star = (grid, den) from _adjoint_int
-        (pairs, d), (grid, den) = c, star
-        mod = d * den
+    def integral(pairs, star) -> bool:
+        # pairs: the nonzero (label, coefficient) pairs of an integral twist;
+        # star = (grid, den) from _adjoint_int
+        grid, den = star
         for row in grid:
             for e in row:
                 out = [0] * G.order
                 for g, a in pairs:
                     for k, b in zip(table[g], e):
                         out[k] += a * b
-                if any(v % mod for v in out):
+                if any(v % den for v in out):
                     return False
         return True
 
@@ -449,7 +435,8 @@ def delta_check(x: CentralElement, G: FiniteGroup,
         cs.append(c)
     twist_of, distinct = _distinct(cs)
     # (g, c_g) for each distinct twist, with its first g
-    twists = [(twist_of.index(i), cleared(c)) for i, c in enumerate(distinct)]
+    twists = [(twist_of.index(i), [(g, a) for g, a in enumerate(c.num) if a])
+              for i, c in enumerate(distinct)]
     # x [[h k r k^-1]]* = k (c_h r*) k^-1 h^-1: one test per (c_h, r) and
     # one adjugate per r; the first failing member is the witness
     stars, passed = {}, set()
@@ -668,9 +655,7 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
 def leibniz_det(G: FiniteGroup, grid) -> GroupAlgebraElement:
     """Determinant of a square grid over a commutative group ring, by the
     Leibniz expansion."""
-    vec, den = _leibniz_int(G, grid)
-    return GroupAlgebraElement(G, tuple(CycloNum.from_rational(Fraction(c, den))
-                                        for c in vec))
+    return GroupAlgebraElement._reduced(G, *_leibniz_int(G, grid))
 
 
 def _leibniz_int(G: FiniteGroup, grid):
@@ -705,17 +690,12 @@ def _leibniz_int(G: FiniteGroup, grid):
 def char_value(rep, x: GroupAlgebraElement):
     """The character of the catalog irreducible rep evaluated on a rational
     group-algebra element: one integer sum over the class table
-    (_char_values).  A coefficient outside Q is refused (ValueError, by
-    cleared_rows)."""
+    (_char_values)."""
     G = x.group
     chi = next((i for i, r in enumerate(irreps(G)) if r is rep), None)
     if chi is None:
         raise ValueError(f"char_value takes a catalog irreducible of {G.name}")
-    [[pairs]], [den] = cleared_rows([[x]])
-    vec = [0] * G.order
-    for g, c in pairs:
-        vec[g] = c
-    return _char_values(G, vec, den)[chi]
+    return _char_values(G, x.num, x.den)[chi]
 
 
 def _char_values(G: FiniteGroup, vec, den: int) -> tuple[CycloNum, ...]:
@@ -759,18 +739,17 @@ def regular_int_rows(M: GroupAlgebraMatrix):
     """Integer matrix of x -> x*M from Z[G]^rows to Z[G]^cols in the group
     basis: row (slot t, label g) is the image of g in slot t, and column
     j*|G| + k is the coefficient of label k in slot j."""
-    G = M.group
-    n = G.order
-    cleared, dens = cleared_rows(M.entries)
-    if any(d != 1 for d in dens):
+    G, n = M.group, M.group.order
+    if not M.is_integral():
         raise ValueError("integral matrix required")
     rows = []
-    for entries in cleared:
+    for entries in M.entries:
         for g in range(n):
             vec = [0] * (M.cols * n)
-            for j, entry in enumerate(entries):
-                for h, c in entry:
-                    vec[j * n + G.mul(g, h)] += c
+            for j, e in enumerate(entries):
+                for h, c in enumerate(e.num):
+                    if c:
+                        vec[j * n + G.mul(g, h)] += c
             rows.append(vec)
     return rows
 

@@ -244,19 +244,17 @@ def _character_index(G: FiniteGroup, reps, values) -> int:
 
 
 def central_idempotent(G: FiniteGroup, chi: IrreducibleRep | int):
-    """The primitive central idempotent deg(chi)/|G| * sum chi(g) g^(-1).
-
-    Returns the idempotent as a group-algebra element (cyclotomic
-    coefficients indexed by group label).
+    """The primitive central idempotent deg(chi)/|G| * sum chi(g) g^(-1) of
+    a rational character, as an element of Q[G].  The idempotent of an
+    irrational character is not in Q[G]; GroupAlgebraElement refuses its
+    coefficients (ValueError).
     """
     from grax.algebra import GroupAlgebraElement
 
     rep = irreps(G)[chi] if isinstance(chi, int) else chi
     scale = Fraction(rep.degree, G.order)
-    coeffs = [_ZERO] * G.order
-    for g in range(G.order):
-        coeffs[G.inv(g)] = rep.character[g] * scale
-    return GroupAlgebraElement(G, tuple(coeffs))
+    return GroupAlgebraElement.from_coeffs(
+        G, [rep.character[G.inv(g)] * scale for g in range(G.order)])
 
 
 def contragredient(rep: IrreducibleRep) -> IrreducibleRep:

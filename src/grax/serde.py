@@ -74,7 +74,7 @@ def json_to_group(obj) -> FiniteGroup:
 
 
 def gae_to_json(x: GroupAlgebraElement):
-    return {str(g): cyclo_to_json(c) for g, c in enumerate(x.coeffs) if not c.is_zero()}
+    return {str(g): rat_to_str(Fraction(c, x.den)) for g, c in enumerate(x.num) if c}
 
 
 def _group_named(obj, G: FiniteGroup | None) -> FiniteGroup:

@@ -4,8 +4,8 @@ blocks summed from a CycloNum view of each representation's integer
 images (field_view.field_matrices, in rep_of_element), determinants by
 linalg.mat_det, inverses by linalg.mat_inverse, and the CycloNum Fourier
 loop over rho(g^-1).  Also the
-one boundary of the block path: a coefficient outside Q is refused
-everywhere with the same ValueError."""
+one boundary of the block path: a coefficient outside Q is refused where
+the matrix is built, with the same ValueError, so no path meets one."""
 
 import functools
 import itertools
@@ -141,7 +141,7 @@ def _field_fourier(M, blocks):
                         for j in range(c):
                             acc = acc + b[u * c + i][v * c + j] * m[j][i] * c
                 coeffs.append(acc / G.order)
-            row.append(GroupAlgebraElement(G, tuple(coeffs)))
+            row.append(GroupAlgebraElement.from_coeffs(G, coeffs))
         grid.append(row)
     return GroupAlgebraMatrix.from_entries(G, grid)
 
@@ -240,10 +240,9 @@ def test_nrd_op_is_the_field_determinant_of_each_transposed_block(M):
         assert value == mat_det(op)
 
 
-def _zeta4_matrix(name):
+def _scalar_matrix(name, c):
     G = group_from_catalog(name)
-    zeta = GroupAlgebraElement.basis(G, 0, CycloNum.zeta(4))
-    return GroupAlgebraMatrix.from_entries(G, [[zeta]])
+    return GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.basis(G, 0, c)]])
 
 
 @pytest.mark.parametrize("name, compute", [
@@ -259,8 +258,14 @@ def _zeta4_matrix(name):
 ], ids=["wedderburn_block", "nrd", "nrd_op", "adjoint_star", "gam_inverse", "fit_matrix-C4",
         "fit_matrix-Q8", "leibniz_det", "regular_int_rows"])
 def test_non_rational_coefficient_is_refused(name, compute):
+    # a zeta_4 coefficient is refused where the matrix is built, so it never
+    # reaches compute; zeta_4^2 = -1, a rational CycloNum at conductor 4,
+    # is accepted and read as -1
     with pytest.raises(ValueError, match="rational coefficients"):
-        compute(_zeta4_matrix(name))
+        _scalar_matrix(name, CycloNum.zeta(4))
+    minus = CycloNum.zeta(4) * CycloNum.zeta(4)
+    assert minus.n == 4
+    assert compute(_scalar_matrix(name, minus)) == compute(_scalar_matrix(name, -1))
 
 
 @functools.cache

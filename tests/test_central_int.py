@@ -143,10 +143,13 @@ def test_char_value_matches_the_cyclonum_reference(case):
 
 
 def test_char_value_refuses_a_non_rational_coefficient():
+    # the refusal is at construction, so no element with a zeta_4
+    # coefficient reaches char_value; zeta_4^2 = -1 is read as -1
     G = group_from_catalog("C4")
-    x = GroupAlgebraElement.from_coeffs(G, [CycloNum.zeta(4), 0, 0, 0])
     with pytest.raises(ValueError, match="rational coefficients"):
-        char_value(irreps(G)[0], x)
+        GroupAlgebraElement.from_coeffs(G, [CycloNum.zeta(4), 0, 0, 0])
+    minus = GroupAlgebraElement.from_coeffs(G, [CycloNum.zeta(4) * CycloNum.zeta(4), 0, 0, 0])
+    assert [char_value(rep, minus) for rep in irreps(G)] == [-1] * 4
 
 
 @pytest.mark.parametrize("name", ["C5", "C8", "D5", "A4"])

@@ -185,8 +185,11 @@ def test_idempotents_sum_to_one_q8():
 
 @pytest.mark.parametrize("name", ["C6", "S3", "Q8"])
 def test_idempotents_conjugation_invariant(name):
+    # only a rational character has its idempotent in Q[G]
     G = group_from_catalog(name)
-    for i in range(len(irreps(G))):
+    for i, rep in enumerate(irreps(G)):
+        if not all(v.is_rational() for v in rep.character):
+            continue
         e = central_idempotent(G, i)
         for g in range(G.order):
             conj = GroupAlgebraElement.basis(G, g) * e * GroupAlgebraElement.basis(G, G.inv(g))

@@ -5,7 +5,8 @@ The splitting field is Q(zeta_e) with e the group exponent.  A central
 element is stored as its tuple of values at the catalog irreducibles; the
 Galois-consistency invariant (values at sigma-conjugate characters are
 sigma-conjugate values) certifies that the tuple lies in the center of the
-rational group algebra, and every constructor checks it exactly.  Central
+rational group algebra, and every constructor checks it exactly, on the
+generators of (Z/e)^x (galois_defect).  Central
 lattices live in class-sum coordinates.  One cached character table, its
 entries as power-basis integer vectors at e (_class_table), links the two:
 coords and from_coords are integer sums over it for every group.
@@ -46,7 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.cyclotomic import (CycloNum, _conjugates_and_norm, _galois_int, _lift_int, _mul_int,
-                             _reduce_poly, cyclo_from_int, det_adj_int, det_int, euler_phi)
+                             _reduce_poly, _unit_generators, cyclo_from_int, det_adj_int,
+                             det_int, euler_phi)
 from grax.groups import FiniteGroup
 from grax.reps import IrreducibleRep, irreps, contragredient_permutation, galois_permutation
 
@@ -510,7 +512,10 @@ class CentralElement:
         columns = {}
         for chi, (rep, v) in enumerate(zip(irreps(G), self.values)):
             w = rep.degree * (den // v.den)
-            num = v.num[:1] if v.is_rational() else _lift_int(v.num, v.n, e)
+            if v.is_rational():
+                num = v.num[:1]
+            else:
+                num = v.num if v.n == e else _lift_int(v.num, v.n, e)
             for i, c in enumerate(num):
                 if c:
                     if i not in columns:
@@ -612,8 +617,15 @@ def galois_defect(G: FiniteGroup, values):
     that does not permute the values as it permutes the characters.  None
     when the tuple is consistent.
 
-    Runs on integers: each value num/den is lifted once to the exponent e
-    (a reduced power-basis vector), and sigma_a(v_i) = v_perm(i) is tested
+    sigma_a is tested only for the generators a of (Z/e)^x
+    (cyclotomic._unit_generators): sigma_ab = sigma_a sigma_b and
+    galois_permutation is an action, so consistency on them is consistency
+    on the whole Galois group; and the least unit a that fails is one of
+    them, so the message names the least failing a.
+
+    Runs on integers: each value num/den at a conductor below the exponent
+    e is lifted once to e (a reduced power-basis vector), and
+    sigma_a(v_i) = v_perm(i) is tested
     as sigma_a(num_i) den_perm(i) = num_perm(i) den_i."""
     e = G.exponent
     if any(e % v.n for v in values):
@@ -621,10 +633,8 @@ def galois_defect(G: FiniteGroup, values):
     # where every sigma_a fixes every character, consistency is rationality
     if _galois_trivial(G) and all(v.is_rational() for v in values):
         return None
-    lifted = [(_lift_int(v.num, v.n, e), v.den) for v in values]
-    for a in range(2, e):
-        if math.gcd(a, e) != 1:
-            continue
+    lifted = [(list(v.num) if v.n == e else _lift_int(v.num, v.n, e), v.den) for v in values]
+    for a in _unit_generators(e):
         perm = galois_permutation(G, a)
         for i, (num, den) in enumerate(lifted):
             other, other_den = lifted[perm[i]]

@@ -97,6 +97,29 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_generators(e: int) -> tuple[int, ...]:
+    """Generators of (Z/e)^x, ascending: each unit a > 1 that is not in the
+    subgroup generated by the ones before it.  Every unit below a greedy
+    generator lies in the subgroup of the smaller ones, so a property of
+    sigma_a closed under products fails first, in an ascending scan of all
+    units, at one of these.  e = 8 gives (3, 5), e = 200 (3, 7, 11).
+
+    Built whole on first use and never mutated."""
+    gens, subgroup = [], {1}
+    for a in range(2, e):
+        if a in subgroup or math.gcd(a, e) != 1:
+            continue
+        gens.append(a)
+        # the subgroup with a: the cosets a^k H until a^k falls back in H
+        cosets, p = set(subgroup), a
+        while p not in subgroup:
+            cosets |= {p * h % e for h in subgroup}
+            p = p * a % e
+        subgroup = cosets
+    return tuple(gens)
+
+
 def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
     """Reduce a low-first integer coefficient list modulo Phi_n to length phi(n)."""
     rows = _reduction_rows(n)

@@ -30,8 +30,10 @@ all products x*y depends only on the spans of the two factors, and the
 lattice is the one the full generator lists would give.
 
 For abelian groups the order is exactly the image of Z[G] and the minors
-pool is complete by multilinearity, so fit_matrix agrees with the
-classical Fitting ideal computed independently by fit_classical_oracle.
+pool is complete by multilinearity, so on integral matrices fit_matrix
+agrees with the classical Fitting ideal, which fit_classical_oracle
+computes with no determinant routine in common: fit_matrix expands its
+minors by cofactors, the oracle by Leibniz.
 
 A Fitting minor with a standard basis column b_i is reduced by Laplace
 expansion before it is evaluated: it is zero unless its rows hold i, and
@@ -514,8 +516,14 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     are evaluated, each once per call, and each distinct (minor, sign)
     gives one generator (each distinct minor over abelian groups, where
     eps = s is in Z): zero and repeated generators do not change the
-    span.  Exact for abelian groups and for a = 0 with square M; a sound
-    under-approximation otherwise.  xi must be a lattice over M's group.
+    span.  Over an abelian group the minors are taken in the group ring
+    itself, by cofactor expansion with the sub-minors shared for the call
+    (_cofactor_dets), and the order is the image of Z[G].
+
+    Exact for a = 0 with square M and for integral M over an abelian
+    group, where it is the classical Fitting ideal (fit_classical_oracle);
+    a sound under-approximation otherwise.  xi must be a lattice over M's
+    group.
     """
     if a < 0:
         raise ValueError("Fitting index must be nonnegative")
@@ -539,13 +547,13 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     for rsub, cols, s in _minor_selections(d_, d, len(combos), a):
         signs.setdefault((rsub, cols), set()).add(s)
     exact = abelian or (a == 0 and d_ == d)
+    cleared, dens = cleared_rows(wide)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
         # generators (group elements) permutes them; a sign is dropped, as
         # the Z-span of v holds -v
-        dets = [_leibniz_int(G, [[wide[i][j] for j in cols] for i in rsub])
-                for rsub, cols in signs]
+        dets = _cofactor_dets(G, cleared, dens, signs)
         denom = math.lcm(1, *(den for _, den in dets))
         translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
         rows = []
@@ -556,7 +564,6 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
     # each character's block of [M | combinations] once; a minor's block
     # selects its rows and columns, deg block rows and columns each
-    cleared, dens = cleared_rows(wide)
     reps = irreps(G)
     blocks = [int_block(cleared, rep) for rep in reps]
     nrds = []
@@ -618,21 +625,62 @@ def _minor_selections(nrows: int, d: int, ncomb: int, a: int):
                         yield tuple(rows), kept, s
 
 
+def _cofactor_dets(G: FiniteGroup, rows, dens, minors):
+    """Minors of cleared rows over a commutative Z[G], one (integer
+    coefficient vector, positive denominator) per (row tuple, column tuple)
+    of minors, the denominator the product of its rows' dens.
+
+    Each minor is expanded along its first row, the columns kept in the
+    order given; the sub-minors are memoized on (rows, columns) for the
+    call, so one shared by several minors is computed once."""
+    table, one = G.mul_table, [0] * G.order
+    one[G.identity] = 1
+    memo = {((), ()): one}
+
+    def det(rsub, cols):
+        if (rsub, cols) not in memo:
+            out, row, rest = [0] * G.order, rows[rsub[0]], rsub[1:]
+            for k, j in enumerate(cols):
+                entry = row[j]
+                if not entry:
+                    continue
+                sub = det(rest, cols[:k] + cols[k + 1:])
+                sign = -1 if k % 2 else 1
+                for g, x in enumerate(sub):
+                    if x:
+                        tg, x = table[g], sign * x
+                        for h, y in entry:
+                            out[tg[h]] += x * y
+            memo[rsub, cols] = out
+        return memo[rsub, cols]
+
+    return [(det(rsub, cols), math.prod(dens[u] for u in rsub)) for rsub, cols in minors]
+
+
 def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
     """Classical a-th Fitting ideal over an abelian group ring, computed as
     the ideal of (cols - a)-minors by direct Leibniz expansion.
 
-    Independent of the fit_matrix code path: determinants are computed in
-    the commutative group ring itself (as _leibniz_int's integer vectors)
-    and only then mapped to central tuples character by character
-    (_char_values), which the Galois check of CentralElement and the class
-    coordinates (_coords_int) take back to the lattice.
+    Its domain is an integral M, a presentation over Z[G]: there the minors
+    with a columns replaced from the pool (fit_matrix) and the (cols -
+    a)-minors span one ideal.  A matrix with a coefficient outside Z is
+    refused (ValueError); for M = [[1, 0], [1/2, 1/2]] over C1 at a = 2 the
+    first span 1/2 Z and the second Z.
+
+    Shares no determinant routine with fit_matrix: determinants are
+    computed by Leibniz expansion (_leibniz_int), where fit_matrix expands
+    by cofactors (_cofactor_dets), and only then mapped to central tuples
+    character by character (_char_values), which the Galois check of
+    CentralElement and the class coordinates (_coords_int) take back to
+    the lattice.
     """
     G = M.group
     if not G.is_abelian():
         raise ValueError("the classical oracle applies to abelian groups only")
     if a < 0:
         raise ValueError("Fitting index must be nonnegative")
+    if not M.is_integral():
+        raise ValueError("the classical oracle applies to integral matrices only")
     k = M.cols - a
     if k <= 0:
         gens = [CentralElement.one(G)]

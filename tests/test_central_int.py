@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax import serde
+from grax import algebra, serde
 from grax.algebra import (CentralElement, GroupAlgebraElement, _class_table, _galois_trivial,
                           galois_defect, nrd_element)
 from grax.cyclotomic import CycloNum, _reduce_poly
@@ -171,3 +171,19 @@ def test_inconsistent_tuple_refused_with_the_same_message_on_both_paths(name):
     with pytest.raises(ValueError) as err:
         serde.json_to_central(obj)
     assert str(err.value) == f"not a central element of Q[{G.name}]: {defect}"
+
+
+def test_galois_defect_tests_only_the_generators_of_the_units(monkeypatch):
+    # C200: 80 units a mod 200, generated by 3, 7 and 11; sigma_ab = sigma_a
+    # sigma_b, so the check asks for those three permutations only
+    G = group_from_catalog("C200")
+    x = nrd_element(GroupAlgebraElement.from_coeffs(G, [2, 1] + [0] * 198))
+    asked = []
+
+    def counted(G, a):
+        asked.append(a)
+        return galois_permutation(G, a)
+
+    monkeypatch.setattr(algebra, "galois_permutation", counted)
+    assert galois_defect(G, x.values) is None
+    assert asked == [3, 7, 11]

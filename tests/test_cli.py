@@ -133,6 +133,16 @@ def test_fit_oracle_check(capsys, tmp_path):
     assert doc["result"]["fitting"]["hnf"] == doc["result"]["oracle"]["hnf"]
 
 
+def test_fit_oracle_check_on_a_rational_matrix_is_usage_error(capsys):
+    # the classical oracle is defined on matrices over Z[G]; on this one its
+    # ideal (Z) and fit_matrix's (1/2 Z) differ, which is no mathematical failure
+    matrix = '{"entries": [[{"0": "1"}, {}], [{"0": "1/2"}, {"0": "1/2"}]]}'
+    code, out, err = run_cli(capsys, "fit", "--group", "C1", "--matrix", matrix, "--a", "2",
+                             "--oracle-check", "--no-timestamp")
+    assert code == 2 and out == ""
+    assert err == "usage error: the classical oracle applies to integral matrices only\n"
+
+
 def test_epsilon_command(capsys, tmp_path):
     G = group_from_catalog("C1")
     M = GroupAlgebraMatrix.from_int_grid(G, [[2], [3]])

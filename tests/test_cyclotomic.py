@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax.cyclotomic import (CycloNum, NotInSubfield, _reduction_rows, cyclo_inverse,
-                             cyclo_make, cyclotomic_polynomial, descend, euler_phi,
-                             galois_apply)
+from grax.cyclotomic import (CycloNum, NotInSubfield, _reduction_rows, _unit_generators,
+                             cyclo_inverse, cyclo_make, cyclotomic_polynomial, descend,
+                             euler_phi, galois_apply)
 
 
 def test_make_degree_one_field():
@@ -254,3 +254,29 @@ def test_reduction_table_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == len(threads)
     assert all(r == want for r in results)
+
+
+def _generated(gens, e):
+    """The subgroup of (Z/e)^x generated by gens, by brute force."""
+    out, frontier = {1 % e}, [1 % e]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = x * g % e
+            if y not in out:
+                out.add(y)
+                frontier.append(y)
+    return out
+
+
+def test_unit_generators_generate_the_units_greedily():
+    assert _unit_generators(8) == (3, 5)
+    assert _unit_generators(12) == (5, 7)
+    assert _unit_generators(200) == (3, 7, 11)
+    for e in range(1, 241):
+        gens = _unit_generators(e)
+        assert list(gens) == sorted(gens) and isinstance(gens, tuple)
+        for k, g in enumerate(gens):
+            assert math.gcd(g, e) == 1 and g not in _generated(gens[:k], e)
+        units = {a % e for a in range(1, e + 1) if math.gcd(a, e) == 1}
+        assert _generated(gens, e) == units

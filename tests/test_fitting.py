@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from grax import fitting
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, nrd)
+                          adjoint_star, cleared_rows, nrd)
 from grax.cyclotomic import CycloNum
 from grax.fitting import (Budget, _conjugacy_rep, _monomial_matrix, _normalised_monomials,
                           annihilation_check, char_value,
@@ -730,3 +730,76 @@ def test_leibniz_det_matches_nrd_character_by_character(case):
     norm = nrd(GroupAlgebraMatrix.from_entries(G, grid))
     for rep, value in zip(irreps(G), norm.values):
         assert char_value(rep, det) == value
+
+
+@st.composite
+def _abelian_minors(draw):
+    """A k x m grid over an abelian group (k <= 4, Fraction coefficients,
+    zero entries likely) and a few k x k minors of it: rows in any order,
+    columns in any order, so not increasing."""
+    G = group_from_catalog(draw(st.sampled_from(ABELIAN_TO_12)))
+    k = draw(st.integers(0, 4))
+    m = draw(st.integers(k, k + 2))
+    coeff = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    zero = [0] * G.order
+    entry = st.one_of(st.just(zero), st.lists(coeff, min_size=G.order, max_size=G.order))
+    grid = [[GroupAlgebraElement.from_coeffs(G, draw(entry)) for _ in range(m)]
+            for _ in range(k)]
+    minors = draw(st.lists(st.tuples(st.permutations(range(k)),
+                                     st.permutations(range(m)).map(lambda p: p[:k])),
+                           min_size=1, max_size=4))
+    return G, grid, [(tuple(r), tuple(c)) for r, c in minors]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_abelian_minors())
+def test_cofactor_minors_match_the_leibniz_expansion(case):
+    # fit_matrix's abelian minors: one memoized cofactor expansion per call,
+    # the minors sharing their sub-minors, against leibniz_det minor by minor
+    G, grid, minors = case
+    rows, dens = cleared_rows(grid)
+    for (rsub, cols), (vec, den) in zip(minors, fitting._cofactor_dets(G, rows, dens, minors)):
+        assert den == math.prod(dens[u] for u in rsub)
+        want = leibniz_det(G, [[grid[i][j] for j in cols] for i in rsub])
+        assert GroupAlgebraElement._reduced(G, vec, den) == want
+
+
+def test_abelian_fit_matrix_reads_no_leibniz_expansion(monkeypatch):
+    # fit_matrix and its classical oracle share no determinant routine: with
+    # the Leibniz expansion broken, fit_matrix still runs and the oracle fails
+    def broken(G, grid):
+        raise RuntimeError("Leibniz expansion reached")
+
+    monkeypatch.setattr(fitting, "_leibniz_int", broken)
+    rng = random.Random(11)
+    for name in ("C4", "C2xC2"):
+        M = rand_gam(rng, group_from_catalog(name), 3, 2, 2)
+        for a in (0, 1, 2):
+            fit_matrix(M, a, Budget(coeff_height=2))
+        with pytest.raises(RuntimeError, match="Leibniz expansion reached"):
+            fit_classical_oracle(M, 1)
+
+
+@pytest.mark.parametrize("name", ["C4", "C6", "C2xC2"])
+def test_fit_matches_oracle_with_combination_columns(name):
+    # coeff_height 2 adds the columns b_i + h b_j (h = 1, 2), whose minors
+    # take the columns of [M | combinations] out of increasing order
+    rng = random.Random(12)
+    G = group_from_catalog(name)
+    for rows, cols in ((2, 2), (3, 2), (3, 3)):
+        M = rand_gam(rng, G, rows, cols, 2)
+        for a in range(cols + 1):
+            assert fit_matrix(M, a, Budget(coeff_height=2)) == fit_classical_oracle(M, a)
+
+
+def test_the_classical_oracle_refuses_a_non_integral_matrix():
+    # over C1, [[1, 0], [1/2, 1/2]] at a = 2: the minors with two columns
+    # replaced span 1/2 Z (the 1x1 minor 1/2), the 0-minors Z, so the two
+    # ideals agree only on integral matrices
+    G = group_from_catalog("C1")
+    half = Fraction(1, 2)
+    M = GroupAlgebraMatrix.from_int_grid(G, [[1, 0], [half, half]])
+    assert fit_matrix(M, 2).denominator == 2
+    with pytest.raises(ValueError, match="integral matrices only"):
+        fit_classical_oracle(M, 2)

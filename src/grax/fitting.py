@@ -33,7 +33,9 @@ For abelian groups the order is exactly the image of Z[G] and the minors
 pool is complete by multilinearity, so on integral matrices fit_matrix
 agrees with the classical Fitting ideal, which fit_classical_oracle
 computes with no determinant routine in common: fit_matrix expands its
-minors by cofactors, the oracle by Leibniz.
+minors by cofactors, the oracle by Leibniz.  Each class of an abelian
+group is one element, so the oracle reads its Leibniz coefficient vectors
+as class coordinates, with no character values.
 
 A Fitting minor with a standard basis column b_i is reduced by Laplace
 expansion before it is evaluated: it is zero unless its rows hold i, and
@@ -153,16 +155,12 @@ def _lattice_from_int_rows(G: FiniteGroup, rows, denom: int, provenance=(),
 def lattice_from_central(G: FiniteGroup, gens, provenance=(),
                          stable=False, exact=False) -> CentralLattice:
     """Canonical CentralLattice spanned over Z by the given central elements,
-    read from their integer class coordinates."""
-    return _lattice_from_int_rows(G, *_central_rows(gens), provenance, stable, exact)
-
-
-def _central_rows(gens):
-    """The integer class coordinates of central elements over one common
-    denominator (CentralElement._coords_int): (rows, denom)."""
+    read from their integer class coordinates over one common denominator
+    (CentralElement._coords_int)."""
     cores = [g._coords_int() for g in gens]
     denom = math.lcm(1, *(den for _, den in cores))
-    return [[v * (denom // den) for v in ints] for ints, den in cores], denom
+    rows = [[v * (denom // den) for v in ints] for ints, den in cores]
+    return _lattice_from_int_rows(G, rows, denom, provenance, stable, exact)
 
 
 def _abelian_image_lattice(G: FiniteGroup) -> CentralLattice:
@@ -546,7 +544,7 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     signs = {}
     for rsub, cols, s in _minor_selections(d_, d, len(combos), a):
         signs.setdefault((rsub, cols), set()).add(s)
-    exact = abelian or (a == 0 and d_ == d)
+    exact = (abelian and M.is_integral()) or (a == 0 and d_ == d)
     cleared, dens = cleared_rows(wide)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
@@ -669,10 +667,10 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
 
     Shares no determinant routine with fit_matrix: determinants are
     computed by Leibniz expansion (_leibniz_int), where fit_matrix expands
-    by cofactors (_cofactor_dets), and only then mapped to central tuples
-    character by character (_char_values), which the Galois check of
-    CentralElement and the class coordinates (_coords_int) take back to
-    the lattice.
+    by cofactors (_cofactor_dets).  Over an abelian group each class is
+    one element, so a minor's integer coefficient vector is its class
+    coordinates and the ideal is spanned by its |G| translates, with no
+    character values on the way.
     """
     G = M.group
     if not G.is_abelian():
@@ -683,21 +681,18 @@ def fit_classical_oracle(M: GroupAlgebraMatrix, a: int) -> CentralLattice:
         raise ValueError("the classical oracle applies to integral matrices only")
     k = M.cols - a
     if k <= 0:
-        gens = [CentralElement.one(G)]
+        minors = [[int(h == G.identity) for h in range(G.order)]]
     else:
-        gens = []
-        for row_subset in itertools.combinations(range(M.rows), k):
-            for col_subset in itertools.combinations(range(M.cols), k):
-                vec, den = _leibniz_int(G, [[M.entries[r][c] for c in col_subset]
-                                            for r in row_subset])
-                gens.append(CentralElement(G, _char_values(G, vec, den)))
-    # translating by a group element permutes class coordinates, so each
-    # minor needs one coordinate conversion
-    coords, denom = _central_rows(gens)
-    rows = [[co[G.mul(G.inv(g), h)] for h in range(G.order)]
-            for co in coords for g in range(G.order)]
-    return _lattice_from_int_rows(G, rows, denom,
-                                  (f"classical {k}-minors",), stable=True, exact=True)
+        # integral M: every minor has denominator 1
+        minors = [_leibniz_int(G, [[M.entries[r][c] for c in col_subset]
+                                   for r in row_subset])[0]
+                  for row_subset in itertools.combinations(range(M.rows), k)
+                  for col_subset in itertools.combinations(range(M.cols), k)]
+    # g x has coefficient x_{g^-1 h} at h
+    translates = [G.mul_table[g_inv] for g_inv in G.inverse]
+    rows = [[vec[i] for i in t] for vec in minors for t in translates]
+    return _lattice_from_int_rows(G, rows, 1, (f"classical {k}-minors",),
+                                  stable=True, exact=True)
 
 
 def leibniz_det(G: FiniteGroup, grid) -> GroupAlgebraElement:

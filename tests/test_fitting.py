@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grax import fitting
+from grax import algebra, fitting
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           adjoint_star, cleared_rows, nrd)
 from grax.cyclotomic import CycloNum
@@ -781,6 +781,27 @@ def test_abelian_fit_matrix_reads_no_leibniz_expansion(monkeypatch):
             fit_classical_oracle(M, 1)
 
 
+def test_classical_oracle_reads_no_cofactors_and_no_characters(monkeypatch):
+    # the other side of the test above: with fit_matrix's cofactor expansion
+    # and the character round trip (character values, their Galois check,
+    # class coordinates) broken, the oracle still gives fit_matrix's lattice
+    rng = random.Random(13)
+    cases = []
+    for name in ("C4", "C8", "C2xC2"):
+        M = rand_gam(rng, group_from_catalog(name), 3, 2, 2)
+        cases += [(M, a, fit_matrix(M, a)) for a in (0, 1, 2)]
+
+    def broken(*args):
+        raise RuntimeError("checked path reached")
+
+    monkeypatch.setattr(fitting, "_cofactor_dets", broken)
+    monkeypatch.setattr(fitting, "_char_values", broken)
+    monkeypatch.setattr(algebra, "galois_defect", broken)
+    monkeypatch.setattr(CentralElement, "_coords_int", broken)
+    for M, a, want in cases:
+        assert fit_classical_oracle(M, a) == want
+
+
 @pytest.mark.parametrize("name", ["C4", "C6", "C2xC2"])
 def test_fit_matches_oracle_with_combination_columns(name):
     # coeff_height 2 adds the columns b_i + h b_j (h = 1, 2), whose minors
@@ -790,16 +811,19 @@ def test_fit_matches_oracle_with_combination_columns(name):
     for rows, cols in ((2, 2), (3, 2), (3, 3)):
         M = rand_gam(rng, G, rows, cols, 2)
         for a in range(cols + 1):
-            assert fit_matrix(M, a, Budget(coeff_height=2)) == fit_classical_oracle(M, a)
+            L = fit_matrix(M, a, Budget(coeff_height=2))
+            assert L.exact and L == fit_classical_oracle(M, a)
 
 
 def test_the_classical_oracle_refuses_a_non_integral_matrix():
     # over C1, [[1, 0], [1/2, 1/2]] at a = 2: the minors with two columns
     # replaced span 1/2 Z (the 1x1 minor 1/2), the 0-minors Z, so the two
-    # ideals agree only on integral matrices
+    # ideals agree only on integral matrices, and fit_matrix's is not exact
     G = group_from_catalog("C1")
     half = Fraction(1, 2)
     M = GroupAlgebraMatrix.from_int_grid(G, [[1, 0], [half, half]])
-    assert fit_matrix(M, 2).denominator == 2
+    L = fit_matrix(M, 2)
+    assert L.denominator == 2 and not L.exact
     with pytest.raises(ValueError, match="integral matrices only"):
         fit_classical_oracle(M, 2)
+

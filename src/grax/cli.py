@@ -205,14 +205,13 @@ def cmd_det(args):
                       _matrix_of(args, G, "section"))
         return {"factor": serde.central_to_json(iso.factor),
                 "sub_rank": iso.sub_rank, "quot_rank": iso.quot_rank}
-    if args.op == "two-term":
-        kwargs = {}
-        for name in ("comparison", "ker_section", "cok_section"):
-            if getattr(args, name):
-                kwargs[name] = _matrix_of(args, G, name)
-        value = two_term_nrd(_matrix_of(args, G, "theta"), **kwargs)
-        return {"nrd": serde.central_to_json(value)}
-    raise UsageError(f"unknown det op {args.op!r}")
+    # two-term: argparse holds --op to its choices
+    kwargs = {}
+    for name in ("comparison", "ker_section", "cok_section"):
+        if getattr(args, name):
+            kwargs[name] = _matrix_of(args, G, name)
+    value = two_term_nrd(_matrix_of(args, G, "theta"), **kwargs)
+    return {"nrd": serde.central_to_json(value)}
 
 
 def cmd_cyclo(args):

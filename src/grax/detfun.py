@@ -5,7 +5,10 @@ two-term automorphisms.
 
 Objects are a single generator (for a free module, the reduced norm of a
 basis: one scalar per character) together with a per-character integer
-grading.
+grading.  Every value here is a reduced norm of one group-ring matrix,
+taken on the integer blocks of `nrd`: the exact-sequence factor of
+[theta; section], and the two-term value of theta + (1 - theta s) c.
+Field elimination is left to the two rank checks of `two_term_nrd`.
 """
 
 from __future__ import annotations
@@ -98,8 +101,13 @@ def ses_iso(theta: GroupAlgebraMatrix, phi: GroupAlgebraMatrix,
     """Isomorphism datum for free P1 -> P2 -> P3 with a chosen section.
 
     theta is r1 x r2 (rows = images of the P1 basis), phi is r2 x r3,
-    section is r3 x r2 with section * phi = identity.  Exactness is
-    verified on the split side; the factor is independent of the section.
+    section is r3 x r2 with section * phi = identity.  The factor is the
+    inverse of nrd([theta; section]) and is independent of the section.
+    With theta * phi = 0 and section * phi = 1, a row (a, b) killed by
+    [theta; section] has b = (a theta + b section) phi = 0 and then
+    a theta = 0, so the assembled matrix is invertible exactly where theta
+    is injective, and with rank additivity the sequence is then exact:
+    its reduced norm decides exactness at every component.
     """
     G = theta.group
     r1, r2, r3 = theta.rows, theta.cols, phi.cols
@@ -112,15 +120,9 @@ def ses_iso(theta: GroupAlgebraMatrix, phi: GroupAlgebraMatrix,
         raise ValueError("phi after theta is nonzero: not a complex")
     if section * phi != GroupAlgebraMatrix.identity(G, r3):
         raise ValueError("section does not split phi")
-    for chi, rep in enumerate(irreps(G)):
-        c = rep.degree
-        if linalg.mat_rank(wedderburn_block(theta, chi)) != r1 * c:
-            raise ValueError("theta is not injective on a component")
-        if linalg.mat_rank(wedderburn_block(phi, chi)) != r3 * c:
-            raise ValueError("phi is not surjective on a component")
     factor = nrd(GroupAlgebraMatrix.from_entries(G, theta.entries + section.entries))
     if factor.has_zero_component():
-        raise ValueError("assembled basis is singular: sequence is not exact")
+        raise ValueError("theta is not injective on a component")
     inv_values = tuple(v.inverse() for v in factor.values)
     return SesIso(G, CentralElement(G, inv_values), r1, r3)
 
@@ -152,53 +154,33 @@ def two_term_nrd(theta: GroupAlgebraMatrix,
     splittings of its kernel and cokernel, and a comparison map carrying the
     split kernel onto the chosen cokernel complement.
 
-    The sections are generalized inverses (theta * s * theta = theta);
-    ker_section picks the complement of the kernel as the row space of
-    theta * ker_section, cok_section picks the cokernel complement as the
-    left kernel of cok_section * theta.  For invertible theta all three
-    extra arguments are unnecessary and the result is nrd(theta).
+    The sections are generalized inverses (theta * s * theta = theta), so
+    E = theta * ker_section is idempotent with the kernel of theta as its
+    left kernel: the complement of the kernel is the row space of E, and
+    P = 1 - E projects onto the kernel along it.  cok_section picks the
+    cokernel complement as the left kernel of cok_section * theta.  The
+    automorphism is the comparison on the kernel and theta on its
+    complement, P c + E theta = theta + (1 - theta * ker_section) c, and the
+    result is its reduced norm.  For invertible theta all three extra
+    arguments are unnecessary and the result is nrd(theta).
     """
     if theta.rows != theta.cols:
         raise ValueError("two-term automorphism needs a square matrix")
-    G = theta.group
-    d = theta.rows
-    reps = irreps(G)
-    blocks_T = [wedderburn_block(theta, chi) for chi in range(len(reps))]
-    kernels = [linalg.left_kernel(b) if b else [] for b in blocks_T]
-    has_kernel = any(k for k in kernels)
-    if not has_kernel:
-        return nrd(theta)
+    value = nrd(theta)
+    if not value.has_zero_component():
+        return value
     if comparison is None or ker_section is None or cok_section is None:
         raise ValueError("singular theta needs comparison and both sections")
     for s in (ker_section, cok_section):
         if theta * s * theta != theta:
             raise ValueError("section is not a generalized inverse of theta")
-    values = []
-    for chi, rep in enumerate(reps):
-        n = d * rep.degree
-        T = blocks_T[chi]
-        K = kernels[chi]
-        TS1 = wedderburn_block(theta * ker_section, chi)
-        L = linalg.row_basis(TS1)
-        Cmp = wedderburn_block(comparison, chi)
-        S2T = wedderburn_block(cok_section * theta, chi)
-        cok_lift = linalg.left_kernel(S2T) if S2T else []
-        KC = linalg.mat_mul(K, Cmp) if K else []
-        if K:
-            if linalg.mat_rank(KC) != len(K):
-                raise ValueError("comparison is not injective on the kernel")
-            if len(cok_lift) != len(K):
-                raise ValueError("cokernel section has the wrong corank")
-            combined = [list(r) for r in cok_lift] + [list(r) for r in KC]
-            if linalg.mat_rank(combined) != len(cok_lift):
-                raise ValueError("comparison does not land in the cokernel complement")
-        basis = [list(r) for r in K] + [list(r) for r in L]
-        if len(basis) != n:
-            raise ValueError("kernel and image complements do not fill the module")
-        images = [list(r) for r in KC] + linalg.mat_mul(L, T)
-        binv = linalg.mat_inverse(basis)
-        if binv is None:
-            raise ValueError("kernel complement meets the kernel")
-        phi_mat = linalg.mat_mul(binv, images)
-        values.append(linalg.mat_det(phi_mat))
-    return CentralElement(G, tuple(values))
+    G = theta.group
+    P = GroupAlgebraMatrix.identity(G, theta.rows) - theta * ker_section
+    PC = P * comparison
+    landed = PC * cok_section * theta
+    for chi in range(len(irreps(G))):
+        if linalg.mat_rank(wedderburn_block(PC, chi)) != linalg.mat_rank(wedderburn_block(P, chi)):
+            raise ValueError("comparison is not injective on the kernel")
+        if any(not x.is_zero() for row in wedderburn_block(landed, chi) for x in row):
+            raise ValueError("comparison does not land in the cokernel complement")
+    return nrd(theta + PC)

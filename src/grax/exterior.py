@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from grax import linalg
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
                           gam_inverse, wedderburn_block, wedderburn_block_op)
-from grax.cyclotomic import CycloNum
+from grax.cyclotomic import CycloNum, det_adj_int
 from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
 from grax.lattices import hnf
@@ -302,23 +302,21 @@ def epsilon_vanishing(M: GroupAlgebraMatrix, eps: ExteriorElement | None = None)
 # -- Rubin lattice membership -------------------------------------------------
 
 def _dual_homs(G: FiniteGroup, lattice) -> list[GroupAlgebraMatrix]:
-    """Z-module generators of Hom(M, Z[G]) as homs on A^k, via the dual basis."""
+    """Z-module generators of Hom(M, Z[G]) as homs on A^k, via the dual basis.
+
+    rubin_membership passes a lattice of full rank, so its HNF basis B is
+    invertible, and B^-1 = adj(B) / det(B) comes from one integer
+    elimination (det_adj_int)."""
     n = G.order
-    size = lattice.ambient_rank
-    k = size // n
-    basis = [list(r) for r in lattice.basis]
-    mat = [[CycloNum.from_rational(v) for v in row] for row in basis]
-    inv = linalg.mat_inverse(mat)
-    if inv is None:
-        raise ValueError("degenerate lattice")
-    # dual vectors: f_i = column i of inverse, as a functional on Z^(k|G|)
+    k = lattice.ambient_rank // n
+    (det,), adj = det_adj_int([[[v] for v in row] for row in lattice.basis], 1)
     homs = []
-    for i in range(size):
-        fvec = [inv[j][i] for j in range(size)]
-        grid = [[GroupAlgebraElement.from_coeffs(
-                    G, [fvec[t * n + G.inv(h)] for h in range(n)])
-                 for t in range(k)]]
-        homs.append(GroupAlgebraMatrix.from_entries(G, grid))
+    for i in range(lattice.ambient_rank):
+        # f_i = column i of the inverse, as a functional on Z^(k|G|)
+        row = [GroupAlgebraElement._reduced(
+                   G, [adj[t * n + G.inv(h)][i][0] for h in range(n)], det)
+               for t in range(k)]
+        homs.append(GroupAlgebraMatrix.from_entries(G, [row]))
     return homs
 
 

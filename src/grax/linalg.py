@@ -8,10 +8,14 @@ zero with `not x` (and skips the row operations on a zero entry) and
 inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.
 
-`mat_det` is the field determinant of `detfun.two_term_nrd` and the
-oracle the tests hold `nrd` and `nrd_op` to, and `mat_inverse` the oracle
-of `adjoint_star` and `gam_inverse`; reduced norms, adjoints and inverses
-of group-ring matrices take fraction-free eliminations of integer blocks
+The library reads only `mat_rank` (the two rank checks of
+`detfun.two_term_nrd` and the oracle of `exterior.epsilon_vanishing`) and
+`rref` (`cyclotomic.descend`).  `mat_det` is the oracle the tests hold
+`nrd` and `nrd_op` to, `mat_inverse` the oracle of `adjoint_star` and
+`gam_inverse`, and with `left_kernel`, `row_basis` and `mat_mul` they
+build the per-character two-term construction that `two_term_nrd` is
+tested against; reduced norms, adjoints and inverses of group-ring
+matrices take fraction-free eliminations of integer blocks
 (`cyclotomic.det_int`, `cyclotomic.det_adj_int`).
 """
 

@@ -74,8 +74,8 @@ def _fail(result, case_index, what, **payload):
 
 
 @functools.lru_cache(maxsize=None)
-def _xi(G, budget=None):
-    return xi_approx(G, budget or Budget())
+def _xi(G, budget):
+    return xi_approx(G, budget)
 
 
 # -- the suites ---------------------------------------------------------------
@@ -85,6 +85,7 @@ def suite_oracle(seed=0, cases=200, budget=None) -> SuiteResult:
     ideal over Z[C_n], n <= 8, shapes up to 4x4, heights up to 5, a in 0..2."""
     t0 = time.time()
     res = SuiteResult("oracle", seed, cases)
+    budget = budget or Budget()
     for i in range(cases):
         rng = _rng(seed, "oracle", i)
         n = rng.randrange(1, 9)
@@ -92,9 +93,8 @@ def suite_oracle(seed=0, cases=200, budget=None) -> SuiteResult:
         d = rng.randrange(1, 5)
         dp = rng.randrange(d, 5)
         M = _rand_gam(rng, G, dp, d, 5)
-        xi = _xi(G)
         for a in (0, 1, 2):
-            got = fit_matrix(M, a, xi=xi)
+            got = fit_matrix(M, a, budget)
             want = fit_classical_oracle(M, a)
             if got != want:
                 _fail(res, i, f"fit^{a} != classical oracle", group=G.name,

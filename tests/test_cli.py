@@ -9,10 +9,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grax import serde, suites
 from grax.algebra import GroupAlgebraElement, GroupAlgebraMatrix, nrd
 from grax.cli import main
+from grax.fitting import Budget, fit_matrix
 from grax.groups import group_from_catalog
-from grax import serde
+from grax.suites import suite_oracle
 
 
 def run_cli(capsys, *argv):
@@ -397,3 +399,28 @@ def test_fuzzed_matrix_json_is_read_or_rejected(doc):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["nrd", "--group", "C2", "--matrix=" + json.dumps(matrix)])
         assert code in (0, 2)
+
+
+def test_unknown_det_op_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["det", "--group", "C2", "--op", "bogus", "--theta", _S3_ONE])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_oracle_suite_passes_its_budget_to_fit_matrix(monkeypatch):
+    # criterion 1 over Z[C_n]: the budget sizes the replacement pool of
+    # fit_matrix, so it must reach every call
+    seen = []
+
+    def spy(M, a, budget=Budget(), xi=None):
+        seen.append(budget)
+        return fit_matrix(M, a, budget, xi)
+
+    monkeypatch.setattr(suites, "fit_matrix", spy)
+    budget = Budget(coeff_height=2)
+    assert suite_oracle(seed=0, cases=3, budget=budget).passed
+    assert seen and all(b is budget for b in seen)
+    code = main(["suite", "--name", "oracle", "--scale", "0.01", "--no-timestamp",
+                 "--budget", '{"coeff_height": 2}'])
+    assert code == 0 and seen[-1] == budget

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from grax import linalg
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          gam_inverse, nrd)
-from grax.detfun import (det_free, inverse_object, ses_iso,
+                          gam_inverse, nrd, wedderburn_block)
+from grax.detfun import (GradedInvertible, SesIso, det_free, inverse_object, ses_iso,
                          ses_retraction, ses_swap_sign, swap_sign, tensor,
                          two_term_nrd, unit_object)
 from grax.exterior import wedge_elements
 from grax.groups import group_from_catalog
+from grax.reps import irreps
 
 
 def rand_gam(rng, G, r, c, h=2):
@@ -208,3 +210,195 @@ def test_two_term_rejects_bad_section():
     ident = GroupAlgebraMatrix.identity(G, 1)
     with pytest.raises(ValueError):
         two_term_nrd(T, comparison=ident, ker_section=bad, cok_section=bad)
+
+
+# -- refusals, each with its message ------------------------------------------
+
+def _raises(msg, fn, *args, **kwargs):
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    assert str(exc.value) == msg
+
+
+def _c2_ses():
+    # theta = [[1 + g, 0]] over C2 is zero at the sign character
+    G = group_from_catalog("C2")
+    theta = GroupAlgebraMatrix.from_entries(
+        G, [[GroupAlgebraElement.from_coeffs(G, [1, 1]), GroupAlgebraElement.zero(G)]])
+    phi = GroupAlgebraMatrix.from_int_grid(G, [[0], [1]])
+    section = GroupAlgebraMatrix.from_int_grid(G, [[0, 1]])
+    return theta, phi, section
+
+
+def test_ses_refusals():
+    theta, phi, section = _c2_ses()
+    _raises("theta is not injective on a component", ses_iso, theta, phi, section)
+    _raises("shape mismatch in exact-sequence data", ses_iso, theta, section, section)
+    _raises("rank additivity fails: not a short exact sequence",
+            ses_iso, theta, GroupAlgebraMatrix(theta.group, 2, 0, ()),
+            GroupAlgebraMatrix(theta.group, 0, 2, ()))
+    _raises("phi after theta is nonzero: not a complex",
+            ses_iso, theta, GroupAlgebraMatrix.from_int_grid(theta.group, [[1], [1]]), section)
+    _raises("section does not split phi",
+            ses_iso, theta, phi, GroupAlgebraMatrix.from_int_grid(theta.group, [[0, 2]]))
+
+
+def test_ses_retraction_refuses_a_singular_basis():
+    theta, _, section = _c2_ses()
+    _raises("assembled basis is singular", ses_retraction, theta, section)
+
+
+def _c1(grid):
+    return GroupAlgebraMatrix.from_int_grid(group_from_catalog("C1"), grid)
+
+
+def test_two_term_refusals_and_value_over_c1():
+    # theta = s1 = s2 = diag(1, 0): the kernel and the cokernel complement
+    # are both the second coordinate
+    e = _c1([[1, 0], [0, 0]])
+    _raises("comparison is not injective on the kernel",
+            two_term_nrd, e, _c1([[0, 0], [0, 0]]), e, e)
+    _raises("comparison does not land in the cokernel complement",
+            two_term_nrd, e, _c1([[0, 0], [1, 1]]), e, e)
+    assert [v.as_rational() for v in two_term_nrd(e, _c1([[0, 0], [0, 5]]), e, e).values] == [5]
+    _raises("two-term automorphism needs a square matrix", two_term_nrd, _c1([[1, 0]]))
+    _raises("singular theta needs comparison and both sections", two_term_nrd, e)
+    _raises("section is not a generalized inverse of theta",
+            two_term_nrd, e, e, e, _c1([[2, 0], [0, 0]]))
+
+
+def test_graded_object_refusals():
+    G = group_from_catalog("C2")
+    _raises("the given rows are not a basis (singular component)", det_free,
+            GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.from_coeffs(G, [1, 1])]]))
+    X = unit_object(G)
+    _raises("group mismatch", tensor, X, unit_object(group_from_catalog("C3")))
+    _raises("generator must be nonzero in every component", GradedInvertible,
+            G, (X.scalars[0], X.scalars[0] * 0), X.grading)
+
+
+# -- the per-character construction the reduced norms replace ------------------
+
+def _ses_reference(theta, phi, section):
+    """ses_iso with exactness decided by the ranks of the Wedderburn blocks."""
+    G = theta.group
+    r1, r2, r3 = theta.rows, theta.cols, phi.cols
+    if phi.rows != r2 or section.rows != r3 or section.cols != r2:
+        raise ValueError("shape mismatch in exact-sequence data")
+    if r1 + r3 != r2:
+        raise ValueError("rank additivity fails: not a short exact sequence")
+    if any(not e.is_zero() for row in (theta * phi).entries for e in row):
+        raise ValueError("phi after theta is nonzero: not a complex")
+    if section * phi != GroupAlgebraMatrix.identity(G, r3):
+        raise ValueError("section does not split phi")
+    for chi, rep in enumerate(irreps(G)):
+        if linalg.mat_rank(wedderburn_block(theta, chi)) != r1 * rep.degree:
+            raise ValueError("theta is not injective on a component")
+        if linalg.mat_rank(wedderburn_block(phi, chi)) != r3 * rep.degree:
+            raise ValueError("phi is not surjective on a component")
+    factor = nrd(GroupAlgebraMatrix.from_entries(G, theta.entries + section.entries))
+    return SesIso(G, CentralElement(G, tuple(v.inverse() for v in factor.values)), r1, r3)
+
+
+def _two_term_reference(theta, comparison, ker_section, cok_section):
+    """two_term_nrd per character over the splitting field: the determinant
+    of the map that is the comparison on a basis K of the left kernel of the
+    block T and T on a basis L of the row space of the block of
+    theta * ker_section, written in the standard basis."""
+    G = theta.group
+    if nrd(theta).has_zero_component():
+        for s in (ker_section, cok_section):
+            if theta * s * theta != theta:
+                raise ValueError("section is not a generalized inverse of theta")
+    values = []
+    for chi in range(len(irreps(G))):
+        T = wedderburn_block(theta, chi)
+        K = linalg.left_kernel(T)
+        L = linalg.row_basis(wedderburn_block(theta * ker_section, chi))
+        KC = linalg.mat_mul(K, wedderburn_block(comparison, chi)) if K else []
+        if K:
+            cok_lift = linalg.left_kernel(wedderburn_block(cok_section * theta, chi))
+            if linalg.mat_rank(KC) != len(K):
+                raise ValueError("comparison is not injective on the kernel")
+            if len(cok_lift) != len(K):
+                raise ValueError("cokernel section has the wrong corank")
+            if linalg.mat_rank(cok_lift + KC) != len(cok_lift):
+                raise ValueError("comparison does not land in the cokernel complement")
+        basis = K + L
+        if len(basis) != len(T):
+            raise ValueError("kernel and image complements do not fill the module")
+        binv = linalg.mat_inverse(basis)
+        if binv is None:
+            raise ValueError("kernel complement meets the kernel")
+        values.append(linalg.mat_det(linalg.mat_mul(binv, KC + linalg.mat_mul(L, T))))
+    return CentralElement(G, tuple(values))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _diagonal(G, entries):
+    zero = GroupAlgebraElement.zero(G)
+    return GroupAlgebraMatrix.from_entries(
+        G, [[x if i == j else zero for j in range(len(entries))]
+            for i, x in enumerate(entries)])
+
+
+_REFERENCE_GROUPS = ("C2", "C3", "S3", "D4", "Q8")
+
+
+def test_two_term_agrees_with_the_per_character_construction():
+    # theta = A D B with D diagonal over {1, sum g, 0}, and the sections
+    # B^-1 D' A^-1 with D' a generalized inverse of D: sum g / |G|^2 at sum g,
+    # anything at 0
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(60):
+        G = group_from_catalog(rng.choice(_REFERENCE_GROUPS))
+        n = rng.randrange(1, 3)
+        one, zero = GroupAlgebraElement.one(G), GroupAlgebraElement.zero(G)
+        norm = GroupAlgebraElement.from_coeffs(G, [1] * G.order)
+        kinds = [rng.randrange(3) for _ in range(n)]
+        D = _diagonal(G, [(one, norm, zero)[k] for k in kinds])
+        A, B = rand_invertible(rng, G, n), rand_invertible(rng, G, n)
+
+        def section():
+            inner = _diagonal(G, [(one, norm * Fraction(1, G.order ** 2),
+                                   rand_gam(rng, G, 1, 1, 1).entries[0][0])[k]
+                                  for k in kinds])
+            return gam_inverse(B) * inner * gam_inverse(A)
+
+        theta, s1, s2 = A * D * B, section(), section()
+        if rng.random() < 0.5:
+            # lands in the cokernel complement, the row space of 1 - s2 theta
+            C = rand_invertible(rng, G, n) * (GroupAlgebraMatrix.identity(G, n) - s2 * theta)
+        else:
+            C = rand_gam(rng, G, n, n, 1)
+        want = _outcome(_two_term_reference, theta, C, s1, s2)
+        assert _outcome(two_term_nrd, theta, C, s1, s2) == want
+        outcomes.add(want if isinstance(want, str) else "value")
+    assert outcomes == {"value", "comparison is not injective on the kernel",
+                        "comparison does not land in the cokernel complement"}
+
+
+def test_ses_agrees_with_the_rank_criterion():
+    # theta = X W_top with X = A D B: injective exactly where X is invertible
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(60):
+        G = group_from_catalog(rng.choice(_REFERENCE_GROUPS))
+        r1, r3 = rng.randrange(1, 3), rng.randrange(1, 3)
+        theta, phi, section = _random_split_sequence(rng, G, r1, r3)
+        norm = GroupAlgebraElement.from_coeffs(G, [1] * G.order)
+        D = _diagonal(G, [rng.choice([GroupAlgebraElement.one(G), norm,
+                                      GroupAlgebraElement.zero(G)]) for _ in range(r1)])
+        theta = rand_invertible(rng, G, r1) * D * rand_invertible(rng, G, r1) * theta
+        section = section + rand_gam(rng, G, r3, r1) * theta
+        want = _outcome(_ses_reference, theta, phi, section)
+        assert _outcome(ses_iso, theta, phi, section) == want
+        outcomes.add(want if isinstance(want, str) else "value")
+    assert outcomes == {"value", "theta is not injective on a component"}

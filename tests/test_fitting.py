@@ -170,6 +170,23 @@ def test_xi_truncated_budget_reports_counts():
     assert xi_approx(G).contains_lattice(xi)
 
 
+@pytest.mark.parametrize("name, candidates, basis, denominator", [
+    ("Q8", 12, ((1, 1, 0, 0, 1), (0, 2, 0, 0, 0), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1),
+                (0, 0, 0, 0, 2)), 2),
+    ("A4", 3, ((1, 0, 3, -3), (0, 1, 3, -4), (0, 0, 4, -4)), 4),
+])
+def test_xi_closing_round_grows_the_lattice(name, candidates, basis, denominator):
+    # with few 1x1 candidates, the span of their reduced norms is not closed
+    # under products: a closing round adds to it, and the next one nothing
+    G = group_from_catalog(name)
+    budget = Budget(max_matrix_size=1, max_candidates=candidates)
+    before = xi_approx(G, Budget(max_matrix_size=1, max_candidates=candidates, rounds=0))
+    xi = xi_approx(G, budget)
+    assert xi.stable and not before.stable
+    assert xi.contains_lattice(before) and not before.contains_lattice(xi)
+    assert (xi.lattice.basis, xi.denominator) == (basis, denominator)
+
+
 def _each_members_nrd(G, budget):
     """The reduced norm of each member of xi_approx's families, one by one:
     the 1x1 family, the group elements it lacks, and the monomial matrices."""

@@ -37,7 +37,7 @@ CASES = {
     "fit_c4_a2": ["fit", "--group", "C4", "--matrix", _in("c4_3x2.json"), "--a", "2",
                   "--oracle-check"],
     # a proper sublattice of index 24 over C8: the modular phase of the HNF
-    # and the oracle's integer characters at conductor 8
+    # and the oracle's Leibniz minors read as class coordinates
     "fit_c8_oracle": ["fit", "--group", "C8", "--matrix", _in("c8_3x3.json"), "--a", "1",
                       "--oracle-check"],
     "fit_q8_3x2": ["fit", "--group", "Q8", "--matrix", _in("q8_3x2.json"), "--a", "1"],

@@ -10,11 +10,11 @@ through the compatible system zeta_m = zeta_n^(n/m) for m | n, so
 mixed-conductor arithmetic is well defined.  Arithmetic runs on ints and
 normalises each result with one gcd; `coeffs` is a Fraction view for
 serialisation.  Inversion divides the product of the Galois conjugates by
-the (rational) norm; descent solves a linear system over Q on the
-elimination kernel in `grax.linalg`.  `det_int` is the determinant over
-Z[zeta_n] on bare integer vectors, by fraction-free elimination whose
-exact divisions use the same conjugate product and norm; `det_adj_int`
-runs the same elimination in Gauss-Jordan form for the adjugate.
+the (rational) norm.  `_bareiss`, fraction-free elimination over Z[zeta_n]
+on bare integer vectors with exact divisions by the same conjugate product
+and norm, is the library's one elimination loop: its pivot count is
+`rank_int`, its last pivot `det_int`, and its Gauss-Jordan form gives
+`det_adj_int` and the integer solve of `descend`.
 """
 
 from __future__ import annotations
@@ -98,17 +98,18 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_generators(e: int) -> tuple[int, ...]:
-    """Generators of (Z/e)^x, ascending: each unit a > 1 that is not in the
-    subgroup generated by the ones before it.  Every unit below a greedy
-    generator lies in the subgroup of the smaller ones, so a property of
-    sigma_a closed under products fails first, in an ascending scan of all
-    units, at one of these.  e = 8 gives (3, 5), e = 200 (3, 7, 11).
+def _unit_generators(e: int, m: int = 1) -> tuple[int, ...]:
+    """Generators of the units a = 1 (mod m) of (Z/e)^x, m | e, ascending:
+    each such a > 1 outside the subgroup generated by the ones before it.
+    Every such unit below a greedy generator lies in the subgroup of the
+    smaller ones, so a property of sigma_a closed under products fails
+    first, in an ascending scan of those units, at one of these.  e = 8
+    gives (3, 5), e = 200 (3, 7, 11), and (e, m) = (24, 4) gives (5, 13).
 
     Built whole on first use and never mutated."""
     gens, subgroup = [], {1}
     for a in range(2, e):
-        if a in subgroup or math.gcd(a, e) != 1:
+        if a in subgroup or (a - 1) % m or math.gcd(a, e) != 1:
             continue
         gens.append(a)
         # the subgroup with a: the cosets a^k H until a^k falls back in H
@@ -196,13 +197,6 @@ def _conjugates_and_norm(x, n: int) -> tuple[list[int], int]:
     if any(norm[1:]):
         raise ArithmeticError("the Galois norm of an element is not rational")
     return conj, norm[0]
-
-
-def _from_fractions(n: int, coeffs, den: int = 1) -> "CycloNum":
-    """The element sum(coeffs[i] * zeta_n^i) / den for Fraction coordinates."""
-    common = math.lcm(*(c.denominator for c in coeffs))
-    return _canonical(n, [c.numerator * (common // c.denominator) for c in coeffs],
-                      common * den)
 
 
 class CycloNum:
@@ -413,7 +407,8 @@ def cyclo_make(n: int, coeffs) -> CycloNum:
     if len(coeffs) != euler_phi(n):
         raise ValueError(
             f"expected {euler_phi(n)} coefficients for conductor {n}, got {len(coeffs)}")
-    return _from_fractions(n, coeffs)
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return _canonical(n, [c.numerator * (common // c.denominator) for c in coeffs], common)
 
 
 def cyclo_from_int(n: int, num, den: int = 1) -> CycloNum:
@@ -434,39 +429,39 @@ def galois_apply(a: int, x: CycloNum) -> CycloNum:
 
 def _bareiss(rows, n: int, width: int, jordan: bool):
     """Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968) of a
-    size x width matrix over Z[zeta_n], width >= size, whose entries are
-    power-basis integer vectors (plain ints where phi(n) = 1): step k
-    replaces each entry a_ij right of the pivot column, in every row below
-    the pivot b = a_kk (every row but the pivot's with jordan), by
-    (b a_ij - a_ik a_kj) / b', with b' the previous pivot.  Each quotient is
-    a minor, so it lies in Z[zeta_n], whose power basis is an integral
-    basis; it is taken as the product with the conjugates of b' and one
-    exact integer division by the norm of b', both set up once per step.
-    A remainder means a wrong quotient and raises AssertionError.
+    size x width matrix over Z[zeta_n] of power-basis integer vectors (plain
+    ints where phi(n) = 1), column by column (with jordan only the leading
+    size columns), skipping a column with no pivot left.  The step with
+    pivot b = a_kc replaces each entry a_ij right of column c, in every row
+    below the pivot (every row but the pivot's with jordan), by
+    (b a_ij - a_ic a_kj) / b', with b' the previous pivot.  Each quotient is
+    a minor over the pivot columns, so it lies in Z[zeta_n], whose power
+    basis is an integral basis; it is the product with the conjugates of b'
+    over the norm of b', both set up once per step, and a remainder raises
+    AssertionError.
 
-    Returns (rows, sign), sign that of the row swaps, so the last pivot p
-    is sign times the determinant of the leading size x size block B.  With
-    jordan the steps take [B | C] to [p I | p B^-1 C]; the entries of the
-    leading block left of each pivot are not written and not read.
-    Returns (None, 0) when B is singular.
+    Returns (rows, sign, rank): the sign of the row swaps and the pivot
+    count.  Where the leading size x size block B is regular, the last pivot
+    p is sign det(B), and jordan takes [B | C] to [p I | p B^-1 C].  Entries
+    left of each pivot column are not written and not read.
     """
     scalar = euler_phi(n) == 1
     a = [[v[0] for v in row] if scalar else [list(v) for v in row] for row in rows]
-    size, sign, prev = len(a), 1, None
-    for k in range(size):
-        p = next((i for i in range(k, size) if (a[i][k] if scalar else any(a[i][k]))), None)
+    size, sign, prev, k = len(a), 1, None, 0
+    for c in range(size if jordan else width):
+        p = next((i for i in range(k, size) if (a[i][c] if scalar else any(a[i][c]))), None)
         if p is None:
-            return None, 0
+            continue
         if p != k:
             a[k], a[p] = a[p], a[k]
             sign = -sign
         pivot_row = a[k]
-        b = pivot_row[k]
+        b = pivot_row[c]
         if prev is not None and not scalar:
             conj, norm = _conjugates_and_norm(prev, n)
         for row in (a[:k] if jordan else []) + a[k + 1:]:
-            f = row[k]
-            for j in range(k + 1, width):
+            f = row[c]
+            for j in range(c + 1, width):
                 if scalar:
                     x = row[j] * b - f * pivot_row[j]
                     if prev is not None:
@@ -478,21 +473,28 @@ def _bareiss(rows, n: int, width: int, jordan: bool):
                                                              _poly_mul(f, pivot_row[j]))], n)
                     if prev is not None:
                         x = _mul_int(x, conj, n)
-                        if any(c % norm for c in x):
+                        if any(e % norm for e in x):
                             raise AssertionError("inexact Bareiss quotient")
-                        x = [c // norm for c in x]
+                        x = [e // norm for e in x]
                 row[j] = x
         prev = b
-    return a, sign
+        k += 1
+    return a, sign, k
+
+
+def rank_int(rows, n: int) -> int:
+    """Rank of a matrix over Z[zeta_n] of power-basis integer vectors: the
+    pivot count of _bareiss."""
+    return _bareiss(rows, n, len(rows[0]) if rows else 0, False)[2]
 
 
 def det_int(rows, n: int) -> list[int]:
     """Determinant of a square matrix over Z[zeta_n] whose entries are
     power-basis integer vectors (euler_phi(n) ints each), as such a vector:
-    sign times the last pivot of _bareiss."""
+    sign times the last pivot of _bareiss, and zero below full rank."""
     d = euler_phi(n)
-    a, sign = _bareiss(rows, n, len(rows), False)
-    if a is None:
+    a, sign, rank = _bareiss(rows, n, len(rows), False)
+    if rank < len(rows):
         return [0] * d
     if not a:
         return [1] + [0] * (d - 1)
@@ -506,9 +508,9 @@ def det_adj_int(rows, n: int):
     [p I | X] with p = sign det(B), and X = p B^-1 = sign adj(B)."""
     d, size = euler_phi(n), len(rows)
     one, zero = [1] + [0] * (d - 1), [0] * d
-    a, sign = _bareiss([list(r) + [one if i == j else zero for j in range(size)]
-                        for i, r in enumerate(rows)], n, 2 * size, True)
-    if a is None:
+    a, sign, rank = _bareiss([list(r) + [one if i == j else zero for j in range(size)]
+                              for i, r in enumerate(rows)], n, 2 * size, True)
+    if rank < size:
         return zero, None
     if not size:
         return one, []
@@ -532,27 +534,26 @@ def descend(x: CycloNum, m: int):
     """Re-express x with conductor m | n, or report a moving automorphism.
 
     Uses the compatible normalization zeta_m = zeta_n^(n/m).  Returns a
-    CycloNum on success and a NotInSubfield witness otherwise.
+    CycloNum on success and otherwise a NotInSubfield witness: the least
+    a = 1 (mod m) with sigma_a(x) != x, which is one of the generators
+    _unit_generators(n, m) of Gal(Q(zeta_n)/Q(zeta_m)).
     """
     n = x.n
     if n % m:
         raise ValueError(f"{m} does not divide the conductor {n}")
     if n == m:
         return x
-    for a in range(2, n):
-        if a % m == 1 and math.gcd(a, n) == 1:
-            if x.galois(a) != x:
-                return NotInSubfield(a)
-    # Fixed by Gal(Q(zeta_n)/Q(zeta_m)): solve basis * y = num for the
-    # coordinates y of den * x in the power basis of zeta_m = zeta_n^(n/m).
-    # That basis is independent, so the pivots of the reduced system are its
-    # first euler_phi(m) columns.
-    from grax.linalg import rref
-
-    dm = euler_phi(m)
-    basis = [CycloNum.zeta(m, k).lift(n).num for k in range(dm)]
-    rows, _ = rref([[Fraction(b[i]) for b in basis] + [Fraction(c)]
-                    for i, c in enumerate(x.num)], dm)
-    if any(row[dm] for row in rows[dm:]):
+    for a in _unit_generators(n, m):
+        if x.galois(a) != x:
+            return NotInSubfield(a)
+    # Fixed: num = L y for the coordinates y of den * x at zeta_m, L its power
+    # basis lifted to n as columns.  They are independent, so L^T L is
+    # regular and the normal equations give y = adj(L^T L) L^T num / det.
+    cols = [_reduce_poly([0] * (k * (n // m)) + [1], n) for k in range(euler_phi(m))]
+    (det,), adj = det_adj_int([[[sum(s * t for s, t in zip(u, v))] for v in cols]
+                               for u in cols], 1)
+    rhs = [sum(s * t for s, t in zip(u, x.num)) for u in cols]
+    y = _canonical(m, [sum(v[0] * r for v, r in zip(row, rhs)) for row in adj], det * x.den)
+    if y.lift(n) != x:
         raise ArithmeticError("descent solve failed for a Galois-fixed element")
-    return _from_fractions(m, [row[dm] for row in rows[:dm]], x.den)
+    return y

@@ -8,17 +8,16 @@ basis: one scalar per character) together with a per-character integer
 grading.  Every value here is a reduced norm of one group-ring matrix,
 taken on the integer blocks of `nrd`: the exact-sequence factor of
 [theta; section], and the two-term value of theta + (1 - theta s) c.
-Field elimination is left to the two rank checks of `two_term_nrd`.
+`two_term_nrd` checks its data on the same integer blocks (`rank_int`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from grax import linalg
-from grax.algebra import (CentralElement, GroupAlgebraMatrix, gam_inverse, nrd,
-                          reduced_rank, wedderburn_block)
-from grax.cyclotomic import CycloNum
+from grax.algebra import (CentralElement, GroupAlgebraMatrix, cleared_rows, gam_inverse,
+                          int_block, nrd, reduced_rank)
+from grax.cyclotomic import CycloNum, rank_int
 from grax.groups import FiniteGroup
 from grax.reps import irreps
 
@@ -35,6 +34,9 @@ class GradedInvertible:
     grading: tuple[int, ...]
 
     def __post_init__(self):
+        if not len(self.scalars) == len(self.grading) == len(irreps(self.group)):
+            raise ValueError(f"expected {len(irreps(self.group))} generator values and gradings, "
+                             f"got {len(self.scalars)} and {len(self.grading)}")
         if any(s.is_zero() for s in self.scalars):
             raise ValueError("generator must be nonzero in every component")
 
@@ -177,10 +179,12 @@ def two_term_nrd(theta: GroupAlgebraMatrix,
     G = theta.group
     P = GroupAlgebraMatrix.identity(G, theta.rows) - theta * ker_section
     PC = P * comparison
-    landed = PC * cok_section * theta
-    for chi in range(len(irreps(G))):
-        if linalg.mat_rank(wedderburn_block(PC, chi)) != linalg.mat_rank(wedderburn_block(P, chi)):
+    # a positive denominator per row changes no rank and no zero test
+    pc, p, landed = (cleared_rows(M.entries)[0] for M in (PC, P, PC * cok_section * theta))
+    for rep in irreps(G):
+        n = rep.conductor
+        if rank_int(int_block(pc, rep), n) != rank_int(int_block(p, rep), n):
             raise ValueError("comparison is not injective on the kernel")
-        if any(not x.is_zero() for row in wedderburn_block(landed, chi) for x in row):
+        if any(any(v) for row in int_block(landed, rep) for v in row):
             raise ValueError("comparison does not land in the cokernel complement")
     return nrd(theta + PC)

@@ -19,10 +19,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from grax import linalg
-from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          gam_inverse, wedderburn_block, wedderburn_block_op)
-from grax.cyclotomic import CycloNum, det_adj_int
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, cleared_rows,
+                          gam_inverse, int_block, wedderburn_block, wedderburn_block_op)
+from grax.cyclotomic import CycloNum, det_adj_int, rank_int
 from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
 from grax.lattices import hnf
@@ -94,6 +93,8 @@ class ExteriorElement:
 
     def __post_init__(self):
         reps = irreps(self.group)
+        if len(self.comps) != len(reps):
+            raise ValueError(f"expected {len(reps)} wedge components, got {len(self.comps)}")
         for rep, comp in zip(reps, self.comps):
             expect = len(_subsets(self.rank * rep.degree, self.degree * rep.degree))
             if len(comp) != expect:
@@ -291,10 +292,10 @@ def epsilon_vanishing(M: GroupAlgebraMatrix, eps: ExteriorElement | None = None)
     if eps is None:
         eps = epsilon_from_matrix(M)
     r = M.rows - M.cols
+    rows = cleared_rows(M.entries)[0]
     out = []
     for chi, rep in enumerate(irreps(G)):
-        blk = wedderburn_block(M, chi)
-        ker_dim = M.rows * rep.degree - linalg.mat_rank(blk)
+        ker_dim = M.rows * rep.degree - rank_int(int_block(rows, rep), rep.conductor)
         out.append((not eps.component_is_zero(chi), ker_dim == r * rep.degree))
     return out
 

@@ -1,22 +1,16 @@
 """Exact dense linear algebra over fields, on one elimination kernel.
 
-Matrices are lists of rows.  Every routine here, and `descend` in
-`grax.cyclotomic` (the one solve left over Fractions), reads the result of
-one kernel: `_echelon` does forward elimination to row-echelon form, and
+Matrices are lists of rows.  Every routine here reads the result of one
+kernel: `_echelon` does forward elimination to row-echelon form, and
 `rref` adds back-substitution for the reduced row-echelon form.  The kernel tests for
 zero with `not x` (and skips the row operations on a zero entry) and
 inverts with `1 / x`, so it runs unchanged on Fraction and CycloNum rows.
 Arithmetic is exact, so pivoting only has to find a nonzero entry.
 
-The library reads only `mat_rank` (the two rank checks of
-`detfun.two_term_nrd` and the oracle of `exterior.epsilon_vanishing`) and
-`rref` (`cyclotomic.descend`).  `mat_det` is the oracle the tests hold
-`nrd` and `nrd_op` to, `mat_inverse` the oracle of `adjoint_star` and
-`gam_inverse`, and with `left_kernel`, `row_basis` and `mat_mul` they
-build the per-character two-term construction that `two_term_nrd` is
-tested against; reduced norms, adjoints and inverses of group-ring
-matrices take fraction-free eliminations of integer blocks
-(`cyclotomic.det_int`, `cyclotomic.det_adj_int`).
+No library module imports this one: it is the field oracle the tests hold
+the integer elimination of `grax.cyclotomic` and its callers to, and it
+builds the per-character two-term construction; perfbench times
+`mat_det`, `mat_rank` and `mat_inverse`.
 """
 
 from __future__ import annotations

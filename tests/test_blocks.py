@@ -2,7 +2,8 @@
 and the integer Fourier inversion, checked against the splitting field:
 blocks summed from a CycloNum view of each representation's integer
 images (field_view.field_matrices, in rep_of_element), determinants by
-linalg.mat_det, inverses by linalg.mat_inverse, and the CycloNum Fourier
+linalg.mat_det, ranks by linalg.mat_rank, inverses by linalg.mat_inverse,
+and the CycloNum Fourier
 loop over rho(g^-1).  Also the
 one boundary of the block path: a coefficient outside Q is refused where
 the matrix is built, with the same ValueError, so no path meets one."""
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, adjoint_star,
-                          gam_inverse, matrix_from_blocks, nrd, nrd_op, wedderburn_block)
-from grax.cyclotomic import CycloNum, det_adj_int, det_int, euler_phi
+                          cleared_rows, gam_inverse, int_block, matrix_from_blocks, nrd, nrd_op,
+                          wedderburn_block)
+from grax.cyclotomic import CycloNum, det_adj_int, det_int, euler_phi, rank_int
 from grax.fitting import (Budget, fit_matrix, lattice_from_central, leibniz_det,
                           regular_int_rows, xi_approx)
 from grax.groups import group_from_catalog
-from grax.linalg import mat_det, mat_inverse
+from grax.linalg import mat_det, mat_inverse, mat_rank
 from grax.reps import irreps
 
 from field_view import field_matrices
@@ -76,6 +78,40 @@ def test_bareiss_adjugate_is_det_times_the_field_inverse(case):
     else:
         assert [[CycloNum(n, v) for v in row] for row in adj] == \
             [[CycloNum(n, det) * x for x in row] for row in inv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_matrices())
+def test_bareiss_rank_matches_field_rank(case):
+    n, rows = case
+    assert rank_int(rows, n) == mat_rank([[CycloNum(n, v) for v in row] for row in rows])
+
+
+@st.composite
+def _products(draw):
+    """A B over a group, A r x k and B k x c, in one of three shapes: tall
+    (r > c), wide (r < c), and deficient (k < min(r, c), so that every block
+    of A B has rank below its size).  Sparse coefficients, some halves, make
+    blocks of lower rank at single characters as well."""
+    G = group_from_catalog(draw(st.sampled_from(["C3", "C4", "C12", "S3", "Q8", "A4"])))
+    r, k, c = draw(st.sampled_from([(3, 2, 2), (3, 1, 2), (2, 2, 3), (1, 1, 3),
+                                    (2, 1, 2), (3, 2, 3)]))
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+
+    def matrix(rows, cols):
+        return GroupAlgebraMatrix.from_entries(G, [[GroupAlgebraElement.from_coeffs(
+            G, draw(st.lists(coeff, min_size=G.order, max_size=G.order)))
+            for _ in range(cols)] for _ in range(rows)])
+    return matrix(r, k) * matrix(k, c)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_products())
+def test_rank_int_of_a_block_matches_the_field_rank(M):
+    rows, _ = cleared_rows(M.entries)
+    for chi, rep in enumerate(irreps(M.group)):
+        assert (rank_int(int_block(rows, rep), rep.conductor)
+                == mat_rank(wedderburn_block(M, chi)))
 
 
 CATALOG_TO_24 = sorted({group_from_catalog(name).name for name in

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -424,3 +427,23 @@ def test_oracle_suite_passes_its_budget_to_fit_matrix(monkeypatch):
     code = main(["suite", "--name", "oracle", "--scale", "0.01", "--no-timestamp",
                  "--budget", '{"coeff_height": 2}'])
     assert code == 0 and seen[-1] == budget
+
+
+def test_cli_runs_leave_the_field_oracle_unimported():
+    """grax.linalg is the tests' oracle only: the reports that read ranks
+    (epsilon, the two-term checks), an exact sequence and a descent run
+    without importing it, in a fresh interpreter."""
+    from test_golden import CASES
+    argvs = [CASES[name] + ["--no-timestamp"]
+             for name in ("epsilon_q8", "det_two_term_s3", "det_ses_d4", "cyclo_f7_l3")]
+    code = ("import io, sys, contextlib\n"
+            "from grax.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "assert 'grax.linalg' not in sys.modules, 'grax.linalg was imported'\n")
+    env = {k: v for k, v in os.environ.items() if k != "GRAX_BUDGET"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

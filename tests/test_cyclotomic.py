@@ -273,10 +273,54 @@ def test_unit_generators_generate_the_units_greedily():
     assert _unit_generators(8) == (3, 5)
     assert _unit_generators(12) == (5, 7)
     assert _unit_generators(200) == (3, 7, 11)
+    assert _unit_generators(24, 4) == (5, 13)
+    assert _unit_generators(8, 8) == ()
     for e in range(1, 241):
-        gens = _unit_generators(e)
-        assert list(gens) == sorted(gens) and isinstance(gens, tuple)
-        for k, g in enumerate(gens):
-            assert math.gcd(g, e) == 1 and g not in _generated(gens[:k], e)
-        units = {a % e for a in range(1, e + 1) if math.gcd(a, e) == 1}
-        assert _generated(gens, e) == units
+        # m = 1 is every unit; each divisor m gives the units = 1 (mod m)
+        for m in (m for m in range(1, e + 1) if e % m == 0):
+            gens = _unit_generators(e, m)
+            assert list(gens) == sorted(gens) and isinstance(gens, tuple)
+            for k, g in enumerate(gens):
+                assert math.gcd(g, e) == 1 and (g - 1) % m == 0
+                assert g not in _generated(gens[:k], e)
+            units = {a % e for a in range(1, e + 1) if math.gcd(a, e) == 1 and (a - 1) % m == 0}
+            assert _generated(gens, e) == units
+
+
+def test_descend_to_the_rationals_names_the_least_moving_automorphism():
+    assert descend(CycloNum.zeta(8), 1).witness == 3
+    assert descend(cyclo_make(3, [-3, -2]), 1).witness == 2
+    assert descend(CycloNum.zeta(12), 1).witness == 5
+    assert descend(CycloNum.zeta(12) ** 6, 1) == -1
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _descent_inputs(draw):
+    """(x, m): x at conductor n, drawn at a conductor d | n and lifted, then
+    summed with one of its conjugates, so that it is fixed by a subgroup
+    that is often, but not always, the Galois group over Q(zeta_m)."""
+    n = draw(st.sampled_from([3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24]))
+    m, d = draw(st.sampled_from(_divisors(n)[:-1])), draw(st.sampled_from(_divisors(n)))
+    y = CycloNum(d, draw(st.lists(st.integers(-3, 3), min_size=euler_phi(d),
+                                  max_size=euler_phi(d)))).lift(n)
+    a = draw(st.sampled_from([a for a in range(1, n) if math.gcd(a, n) == 1]))
+    return (y + y.galois(a) if draw(st.booleans()) else y) * Fraction(1, draw(st.integers(1, 4))), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descent_inputs())
+def test_descend_witness_is_the_least_moving_unit(case):
+    # the oracle scans every unit a = 1 (mod m), not only the generators
+    x, m = case
+    n = x.n
+    moving = [a for a in range(2, n)
+              if (a - 1) % m == 0 and math.gcd(a, n) == 1 and x.galois(a) != x]
+    down = descend(x, m)
+    if moving:
+        assert isinstance(down, NotInSubfield) and down.witness == moving[0]
+    else:
+        assert isinstance(down, CycloNum) and down.n == m and down.lift(n) == x

@@ -277,6 +277,19 @@ def test_graded_object_refusals():
             G, (X.scalars[0], X.scalars[0] * 0), X.grading)
 
 
+def test_graded_object_needs_one_value_and_grading_per_character():
+    # tensor and inverse_object zip per character, so a short tuple would be
+    # truncated silently
+    G = group_from_catalog("S3")
+    X = unit_object(G)
+    _raises("expected 3 generator values and gradings, got 2 and 3", GradedInvertible,
+            G, X.scalars[:2], X.grading)
+    _raises("expected 3 generator values and gradings, got 3 and 4", GradedInvertible,
+            G, X.scalars, X.grading + (0,))
+    _raises("expected 3 generator values and gradings, got 0 and 0", GradedInvertible,
+            G, (), ())
+
+
 # -- the per-character construction the reduced norms replace ------------------
 
 def _ses_reference(theta, phi, section):

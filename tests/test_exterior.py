@@ -8,7 +8,7 @@ import pytest
 
 from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd, nrd_op
 from grax.cyclotomic import CycloNum
-from grax.exterior import (HomWedge, epsilon_from_matrix, epsilon_vanishing, pair,
+from grax.exterior import (ExteriorElement, HomWedge, epsilon_from_matrix, epsilon_vanishing, pair,
                            rubin_membership, standard_basis_matrix, theta_b,
                            theta_b_bijective, theta_b_section, wedge_elements,
                            wedge_homs, _subsets)
@@ -43,6 +43,21 @@ def test_wedge_requires_degree_at_most_rank():
         wedge_elements(M)
     with pytest.raises(ValueError):
         wedge_homs(M)
+
+
+def test_exterior_element_needs_one_component_per_character():
+    # over S3 the first component of wedge_elements(I_2) alone compared equal
+    # to the element padded with zeros when the components were zipped
+    G = group_from_catalog("S3")
+    x = wedge_elements(GroupAlgebraMatrix.identity(G, 2))
+    padded = x.comps[:1] + tuple((CycloNum.from_rational(0),) * len(c) for c in x.comps[1:])
+    assert ExteriorElement(G, x.rank, x.degree, padded) != x
+    with pytest.raises(ValueError) as exc:
+        ExteriorElement(G, x.rank, x.degree, x.comps[:1])
+    assert str(exc.value) == "expected 3 wedge components, got 1"
+    with pytest.raises(ValueError) as exc:
+        ExteriorElement(G, x.rank, x.degree, x.comps + x.comps[:1])
+    assert str(exc.value) == "expected 3 wedge components, got 4"
 
 
 def test_abelian_wedge_is_classical():

@@ -9,7 +9,8 @@ rational group algebra, and every constructor checks it exactly, on the
 generators of (Z/e)^x (galois_defect).  Central
 lattices live in class-sum coordinates.  One cached character table, its
 entries as power-basis integer vectors at e (_class_table), links the two:
-coords and from_coords are integer sums over it for every group.
+coords is an integer sum over it, and class sums become character values
+by one other (_character_sums), which from_coords and char_value read.
 
 A group-ring element lies in Q[G] by its type: integer numerators over
 one denominator (GroupAlgebraElement), whose constructors are the one
@@ -325,15 +326,6 @@ def wedderburn_block(M: GroupAlgebraMatrix, chi: int):
             for U, brow in enumerate(int_block(rows, rep))]
 
 
-def wedderburn_block_op(M: GroupAlgebraMatrix, chi: int):
-    """The block of M over the opposite algebra: wedderburn_block with each
-    deg x deg sub-block transposed in place."""
-    c = irreps(M.group)[chi].degree
-    blk = wedderburn_block(M, chi)
-    return [[blk[U - U % c + V % c][V - V % c + U % c] for V in range(M.cols * c)]
-            for U in range(M.rows * c)]
-
-
 def wedderburn_inverse(G: FiniteGroup, blocks) -> GroupAlgebraElement:
     """Two-sided inverse of wedderburn: Fourier inversion of a block tuple."""
     return matrix_from_blocks(G, 1, 1, blocks).entries[0][0]
@@ -539,16 +531,12 @@ class CentralElement:
     @staticmethod
     def from_coords(G: FiniteGroup, coords) -> "CentralElement":
         """The element with class-sum coordinates a: sum_k a_k |C_k| chi(g_k) / chi(1)."""
-        table = _class_table(G)
         coords = [Fraction(a) for a in coords]
         den = math.lcm(*(a.denominator for a in coords))
-        acc = [[0] * len(irreps(G)) for _ in range(euler_phi(G.exponent))]
-        for cls, a, row in zip(G.conjugacy_classes, coords, table):
-            w = a.numerator * (den // a.denominator) * len(cls)
-            for j, col in enumerate(row):
-                acc[j] = [s + w * t for s, t in zip(acc[j], col)]
-        return CentralElement(G, tuple(cyclo_from_int(G.exponent, list(v), den * rep.degree)
-                                       for rep, v in zip(irreps(G), zip(*acc))))
+        sums = _character_sums(G, [a.numerator * (den // a.denominator) * len(cls)
+                                   for cls, a in zip(G.conjugacy_classes, coords)])
+        return CentralElement(G, tuple(cyclo_from_int(G.exponent, v, den * rep.degree)
+                                       for rep, v in zip(irreps(G), sums)))
 
     def to_group_algebra(self) -> GroupAlgebraElement:
         ints, den = self._coords_int()
@@ -588,6 +576,30 @@ def _class_table(G: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
             row.pop()
         table.append(tuple(row))
     return tuple(table)
+
+
+def _character_sums(G: FiniteGroup, weights) -> list[list[int]]:
+    """sum_k w_k chi(g_k) for every catalog character chi, with w_k the
+    integer weight of class k: one integer sum over _class_table, each
+    value a power-basis integer vector at the exponent."""
+    acc = [[0] * len(irreps(G)) for _ in range(euler_phi(G.exponent))]
+    for w, row in zip(weights, _class_table(G)):
+        if w:
+            for j, col in enumerate(row):
+                acc[j] = [s + w * t for s, t in zip(acc[j], col)]
+    return [list(v) for v in zip(*acc)]
+
+
+def char_value(rep: IrreducibleRep, x: GroupAlgebraElement) -> CycloNum:
+    """The character of the catalog irreducible rep at a rational
+    group-algebra element: sum_k s_k chi(g_k) / den, with s_k the sum of the
+    numerators over class k (_character_sums)."""
+    G = x.group
+    chi = next((i for i, r in enumerate(irreps(G)) if r is rep), None)
+    if chi is None:
+        raise ValueError(f"char_value takes a catalog irreducible of {G.name}")
+    sums = [sum(x.num[g] for g in cls) for cls in G.conjugacy_classes]
+    return cyclo_from_int(G.exponent, _character_sums(G, sums)[chi], x.den)
 
 
 def class_product(G: FiniteGroup, u, v) -> list:

@@ -63,15 +63,6 @@ def _budget_from(args) -> Budget:
     return Budget.from_dict(base)
 
 
-def _group_of(args):
-    params = tuple(args.params) if getattr(args, "params", None) else ()
-    try:
-        return group_from_catalog(args.group if hasattr(args, "group") else args.name,
-                                  params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _matrix_of(args, G, attr="matrix"):
     obj = _load_json_arg(getattr(args, attr))
     return serde.json_to_gam(obj, G)
@@ -94,7 +85,7 @@ def _report(args, command, result, status) -> str:
 # -- command handlers ---------------------------------------------------------
 
 def cmd_group(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     reps = irreps(G)
     return {"group": serde.group_to_json(G),
             "abelian": G.is_abelian(),
@@ -103,13 +94,13 @@ def cmd_group(args):
 
 
 def cmd_nrd(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G)
     return serde.central_to_json(nrd(M))
 
 
 def cmd_adjoint(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G)
     star = adjoint_star(M)
     n = nrd(M)
@@ -120,13 +111,13 @@ def cmd_adjoint(args):
 
 
 def cmd_xi(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     lat = xi_approx(G, _budget_from(args))
     return serde.lattice_to_json(lat)
 
 
 def cmd_fit(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G)
     budget = _budget_from(args)
     lat = fit_matrix(M, args.a, budget)
@@ -142,7 +133,7 @@ def cmd_fit(args):
 
 
 def cmd_annihilate(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G)
     if args.x == "order":
         x = CentralElement.from_rational(G, G.order)
@@ -157,13 +148,13 @@ def cmd_annihilate(args):
 
 
 def cmd_wedge(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G, "elements")
     return serde.exterior_to_json(wedge_elements(M))
 
 
 def cmd_pair(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     homs = _matrix_of(args, G, "homs")
     elements = _matrix_of(args, G, "elements")
     value = pair(wedge_homs(homs), wedge_elements(elements))
@@ -173,7 +164,7 @@ def cmd_pair(args):
 
 
 def cmd_epsilon(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     M = _matrix_of(args, G)
     eps = epsilon_from_matrix(M)
     vanishing = epsilon_vanishing(M, eps)
@@ -182,7 +173,7 @@ def cmd_epsilon(args):
 
 
 def cmd_rubin(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     gens = _matrix_of(args, G, "gens")
     eps_source = _matrix_of(args, G, "element")
     xe = wedge_elements(eps_source)
@@ -192,7 +183,7 @@ def cmd_rubin(args):
 
 
 def cmd_det(args):
-    G = _group_of(args)
+    G = group_from_catalog(args.group)
     if args.op in ("free", "tensor"):
         obj = det_free(_matrix_of(args, G, "basis"))
         if args.op == "tensor":
@@ -215,9 +206,9 @@ def cmd_det(args):
 
 
 def cmd_cyclo(args):
+    if (args.f is None) != (args.ell is None):
+        raise UsageError("--f needs --ell" if args.ell is None else "--ell needs --f")
     if args.f is not None:
-        if args.ell is None:
-            raise UsageError("--f needs --ell")
         row = distribution_check(args.f, args.ell, args.convention)
         result = {"rows": [_cyclo_row(row)]}
         if not row.passed:
@@ -238,6 +229,8 @@ def _cyclo_row(r):
 
 
 def cmd_suite(args):
+    if not 0 < args.scale <= 1:  # NaN fails the comparison too
+        raise UsageError(f"--scale must be a number in (0, 1], not {args.scale}")
     budget = _budget_from(args)
     names = list(SUITES) if args.name == "all" else [args.name]
     if any(n not in SUITES for n in names):
@@ -269,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, group=True, budget=False):
         if group:
             p.add_argument("--group", required=True, help="catalog name, e.g. S3, C6, D4")
-            p.add_argument("--params", type=int, nargs="*", help="family parameters")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp for byte-identical reports")
@@ -279,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="catalog group data")
     common(p, group=False)
-    p.add_argument("--name", required=True)
-    p.add_argument("--params", type=int, nargs="*")
+    p.add_argument("--name", dest="group", required=True)
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("nrd", help="reduced norm of a square matrix")
@@ -362,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True,
                    help=f"one of {', '.join(SUITES)}, or 'all'")
     p.add_argument("--scale", type=float, default=1.0,
-                   help="scale the default case counts")
+                   help="shrink the default case counts by a factor in (0, 1]")
     p.set_defaults(fn=cmd_suite)
     return top
 

@@ -5,7 +5,8 @@ element of a presentation matrix.
 Per character chi of degree c, an element of A^k splits into c row slices
 of length k*c: the slices of row u of a matrix M are rows u*c .. u*c+c-1 of
 its Wedderburn block, and the slices of a hom are the same rows of the block
-over the opposite algebra.  Wedges live in the exterior algebra of E^(k*c)
+over the opposite algebra, each c x c sub-block transposed in place
+(wedge_homs).  Wedges live in the exterior algebra of E^(k*c)
 with the lexicographic basis indexed by ascending subsets.  The slice order
 is fixed once and for all: element index major, slice index minor.  With that
 order the full pairing of r hom-slices against r element-slices equals the
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, cleared_rows,
-                          gam_inverse, int_block, wedderburn_block, wedderburn_block_op)
+                          gam_inverse, int_block, wedderburn_block)
 from grax.cyclotomic import CycloNum, det_adj_int, rank_int
 from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
@@ -168,9 +169,13 @@ def wedge_homs(M: GroupAlgebraMatrix) -> HomWedge:
     s, k = M.rows, M.cols
     if s > k:
         raise ValueError("cannot wedge more homs than the ambient rank")
-    factors = tuple(tuple(tuple(v) for v in wedderburn_block_op(M, chi))
-                    for chi in range(len(irreps(G))))
-    return HomWedge(G, k, s, factors)
+    factors = []
+    for chi, rep in enumerate(irreps(G)):
+        # the block over the opposite algebra
+        c, blk = rep.degree, wedderburn_block(M, chi)
+        factors.append(tuple(tuple(blk[U - U % c + V % c][V - V % c + U % c]
+                                   for V in range(k * c)) for U in range(s * c)))
+    return HomWedge(G, k, s, tuple(factors))
 
 
 def pair(hw: HomWedge, xe: ExteriorElement):

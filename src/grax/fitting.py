@@ -15,8 +15,9 @@ elements h and k:
     nrd(k y k^-1) = nrd(y),        (k y k^-1)* = k y* k^-1.
 A 1x1 member is y = h k r k^-1, with h its first label and r a canonical
 representative whose support holds the identity (_small_elements), and
-the monomial matrices k R k^-1 share R's values (_grid_rep); generators,
-verdicts and witnesses are those of the members taken one by one.
+the monomial matrices k R k^-1 share R's values, so both walk the first
+grid of each conjugacy orbit (_monomial_walk); generators, verdicts and
+witnesses are those of the members taken one by one.
 
 All lattices live in the conjugacy-class-sum basis of
 the rational center, as a Hermite-normal-form integer lattice together
@@ -35,7 +36,7 @@ agrees with the classical Fitting ideal, which fit_classical_oracle
 computes with no determinant routine in common: fit_matrix expands its
 minors by cofactors, the oracle by Leibniz.  Each class of an abelian
 group is one element, so the oracle reads its Leibniz coefficient vectors
-as class coordinates, with no character values.
+as class coordinates; this module reads no character values.
 
 A Fitting minor with a standard basis column b_i is reduced by Laplace
 expansion before it is evaluated: it is zero unless its rows hold i, and
@@ -54,9 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          _adjoint_int, _class_table, block_det, class_product, cleared_rows,
-                          int_block, nrd)
-from grax.cyclotomic import CycloNum, cyclo_from_int, euler_phi
+                          _adjoint_int, block_det, class_product, cleared_rows, int_block, nrd)
 from grax.groups import FiniteGroup, perm_sign
 from grax.lattices import IntLattice, hnf
 from grax.reps import irreps
@@ -275,6 +274,18 @@ def _normalised_monomials(G: FiniteGroup, size: int):
             yield grid
 
 
+def _monomial_walk(G: FiniteGroup, size: int, budget: Budget):
+    """The first grid of each conjugacy orbit k R k^-1 (_grid_rep) among the
+    first max_candidates normalised monomials of the size, in enumeration
+    order: xi and delta read one nrd or adjugate per orbit from it."""
+    seen = set()
+    for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
+        key = _grid_rep(G, grid)
+        if key not in seen:
+            seen.add(key)
+            yield grid
+
+
 def _monomial_matrix(G: FiniteGroup, grid) -> GroupAlgebraMatrix:
     """The matrix over Z[G] of a grid of group labels (None for 0)."""
     return GroupAlgebraMatrix.from_entries(
@@ -282,10 +293,11 @@ def _monomial_matrix(G: FiniteGroup, grid) -> GroupAlgebraMatrix:
              for g in row] for row in grid])
 
 
-def _family_label(label: str, tried: int, total: int) -> str:
-    """Provenance of an enumerated family; one cut by the candidate budget
-    says how much of it was tried."""
-    return label if tried >= total else f"{label} (truncated: {tried} of {total} tried)"
+def _family_label(label: str, budget: Budget, space: int) -> str:
+    """Provenance of an enumerated family of the given size; one cut by the
+    candidate budget says how much of it was tried, min(max_candidates, space)."""
+    tried = budget.max_candidates
+    return label if tried >= space else f"{label} (truncated: {tried} of {space} tried)"
 
 
 def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
@@ -311,7 +323,7 @@ def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
         return _abelian_image_lattice(G)
     members, space = _small_elements(G, budget)
     prov = [_family_label(f"1x1 elements: support<={budget.support} "
-                          f"height<={budget.coeff_height}", len(members), space)]
+                          f"height<={budget.coeff_height}", budget, space)]
     orbits = [(h, r) for _, h, r in members]
     if budget.max_matrix_size >= 2:
         # the representatives below stand for their orbits only with every nrd(g)
@@ -336,15 +348,9 @@ def xi_approx(G: FiniteGroup, budget: Budget = Budget()) -> CentralLattice:
             products[unit[h], r] = units[unit[h]] * norm(r)
     gens = list(products.values())
     for size in range(2, budget.max_matrix_size + 1):
+        gens += [nrd(_monomial_matrix(G, grid)) for grid in _monomial_walk(G, size, budget)]
         space = sum(G.order ** len(free) for _, free in _monomial_patterns(size))
-        grids = list(itertools.islice(_normalised_monomials(G, size), budget.max_candidates))
-        conjugates = {}
-        for grid in grids:
-            key = _grid_rep(G, grid)
-            if key not in conjugates:
-                conjugates[key] = nrd(_monomial_matrix(G, grid))
-        gens += conjugates.values()
-        prov.append(_family_label(f"{size}x{size} monomial matrices", len(grids), space))
+        prov.append(_family_label(f"{size}x{size} monomial matrices", budget, space))
     for x in gens:
         if not x.is_integral():
             raise AssertionError("Whitehead generator fails integrality")
@@ -449,12 +455,8 @@ def delta_check(x: CentralElement, G: FiniteGroup,
             return Verdict("certified-no", _element_matrix(G, pairs))
         passed.add((twist_of[h], r))
     for size in range(2, budget.max_matrix_size + 1):
-        tested = set()  # (k R k^-1)* = k R* k^-1: one adjugate per conjugacy orbit
-        for grid in itertools.islice(_normalised_monomials(G, size), budget.max_candidates):
-            key = _grid_rep(G, grid)
-            if key in tested:
-                continue
-            tested.add(key)
+        # (k R k^-1)* = k R* k^-1: one adjugate per conjugacy orbit
+        for grid in _monomial_walk(G, size, budget):
             star = _adjoint_int(_monomial_matrix(G, grid))
             for g, c in twists:
                 if not integral(c, star):
@@ -728,33 +730,6 @@ def _leibniz_int(G: FiniteGroup, grid):
         else:
             acc = [x + y for x, y in zip(acc, term)]
     return acc, den
-
-
-def char_value(rep, x: GroupAlgebraElement):
-    """The character of the catalog irreducible rep evaluated on a rational
-    group-algebra element: one integer sum over the class table
-    (_char_values)."""
-    G = x.group
-    chi = next((i for i, r in enumerate(irreps(G)) if r is rep), None)
-    if chi is None:
-        raise ValueError(f"char_value takes a catalog irreducible of {G.name}")
-    return _char_values(G, x.num, x.den)[chi]
-
-
-def _char_values(G: FiniteGroup, vec, den: int) -> tuple[CycloNum, ...]:
-    """Every catalog character at the element vec / den of Q[G], vec an
-    integer coefficient vector: chi(x) = sum_k s_k chi(g_k) / den, with s_k
-    the sum of vec over class k and chi(g_k) read from _class_table, one
-    integer vector per coordinate for all characters at once."""
-    sums = [0] * len(G.conjugacy_classes)
-    for g, c in enumerate(vec):
-        sums[G.class_of[g]] += c
-    acc = [[0] * len(irreps(G)) for _ in range(euler_phi(G.exponent))]
-    for s, row in zip(sums, _class_table(G)):
-        if s:
-            for j, col in enumerate(row):
-                acc[j] = [a + s * t for a, t in zip(acc[j], col)]
-    return tuple(cyclo_from_int(G.exponent, list(v), den) for v in zip(*acc))
 
 
 def fit_transpose(M: GroupAlgebraMatrix, a: int,

@@ -198,22 +198,9 @@ _NAME_RE = re.compile(r"^(C|D)(\d+)$|^C(\d+)xC(\d+)$", re.IGNORECASE)
 
 
 @functools.lru_cache(maxsize=None)
-def group_from_catalog(name: str, params: tuple[int, ...] = ()) -> FiniteGroup:
-    """Build a catalog group by name ('C6', 'C2xC3', 'D4', 'S3', 'S4', 'A4', 'Q8').
-
-    Parametrized families also accept a bare family letter with explicit
-    params, e.g. group_from_catalog('C', (6,)).
-    """
+def group_from_catalog(name: str) -> FiniteGroup:
+    """Build a catalog group by name ('C6', 'C2xC3', 'D4', 'S3', 'S4', 'A4', 'Q8')."""
     key = name.strip()
-    if params:
-        if key.upper() == "C" and len(params) == 1:
-            key = f"C{params[0]}"
-        elif key.upper() == "D" and len(params) == 1:
-            key = f"D{params[0]}"
-        elif key.upper() in ("CXC", "C*C") and len(params) == 2:
-            key = f"C{params[0]}xC{params[1]}"
-        else:
-            raise ValueError(f"unknown catalog group {name!r} with params {params}")
     upper = key.upper()
     if upper == "S3":
         return _finish("S3", "S", (3,), _perm_table(_perm_elements(3)))

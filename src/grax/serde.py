@@ -60,17 +60,12 @@ def group_to_json(G: FiniteGroup):
 
 
 def json_to_group(obj) -> FiniteGroup:
-    if isinstance(obj, str):
-        return group_from_catalog(obj)
-    params = obj.get("params", []) if isinstance(obj, dict) else None
-    if not (isinstance(params, list) and all(type(p) is int for p in params)
-            and isinstance(obj.get("name"), str)):
-        raise ValueError(f"a group is a catalog name or {{\"name\": string, "
-                         f"\"params\": integers}}, not {obj!r}")
-    try:
-        return group_from_catalog(obj["name"])
-    except ValueError:
-        return group_from_catalog(obj["name"], tuple(params))
+    """The catalog group named by obj: a name, or group_to_json's object,
+    read by its "name" alone."""
+    name = obj.get("name") if isinstance(obj, dict) else obj
+    if not isinstance(name, str):
+        raise ValueError(f"a group is a catalog name or {{\"name\": string}}, not {obj!r}")
+    return group_from_catalog(name)
 
 
 def gae_to_json(x: GroupAlgebraElement):

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, gam_inverse, hash_involution, nrd, nrd_op,
+                          adjoint_star, char_value, gam_inverse, hash_involution, nrd, nrd_op,
                           wedderburn_block)
 from grax.cyclo import AbelianFieldSpec, cyclotomic_unit, euler_family_check
 from grax.cyclotomic import CycloNum
@@ -25,8 +25,8 @@ from grax.detfun import (det_free, inverse_object, ses_iso, ses_retraction,
 from grax.exterior import (epsilon_from_matrix, epsilon_vanishing, pair,
                            standard_basis_matrix, theta_b, theta_b_bijective,
                            theta_b_section, wedge_elements, wedge_homs)
-from grax.fitting import (Budget, annihilation_check, char_value, fit_classical_oracle,
-                          fit_matrix, lattice_from_central, leibniz_det, xi_approx)
+from grax.fitting import (Budget, annihilation_check, fit_classical_oracle, fit_matrix,
+                          lattice_from_central, leibniz_det, xi_approx)
 from grax.groups import group_from_catalog
 from grax.reps import irreps
 from grax.serde import gam_to_json

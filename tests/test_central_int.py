@@ -19,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from grax import algebra, serde
 from grax.algebra import (CentralElement, GroupAlgebraElement, _class_table, _galois_trivial,
-                          galois_defect, nrd_element)
+                          char_value, galois_defect, nrd_element)
 from grax.cyclotomic import CycloNum, _reduce_poly
-from grax.fitting import char_value
 from grax.groups import group_from_catalog
 from grax.reps import galois_permutation, irreps
 

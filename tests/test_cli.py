@@ -75,6 +75,38 @@ def test_cyclo_direct_convention_fails(capsys):
     assert doc["status"] == "fail"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--ell", "3"], "--ell needs --f"),
+    (["--f", "7"], "--f needs --ell"),
+])
+def test_cyclo_f_and_ell_come_together(capsys, argv, message):
+    # one of the two alone must not fall back to the whole family table
+    code, out, err = run_cli(capsys, "cyclo", *argv, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "2", "-1"])
+def test_suite_scale_outside_zero_one_is_usage_error(capsys, scale):
+    # --scale shrinks the case counts: a factor in (0, 1], or exit 2
+    code, out, err = run_cli(capsys, "suite", "--name", "oracle", "--scale", scale,
+                             "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --scale") and "Traceback" not in err
+
+
+def test_group_is_named_by_its_catalog_name_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "--name", "C", "--params", "6", "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --params" in capsys.readouterr().err
+    for name in ("S3", "S4", "A4", "Q8", "C6", "D4", "C2xC3"):
+        G = group_from_catalog(name)
+        assert serde.json_to_group(serde.group_to_json(G)) is G
+    with pytest.raises(ValueError, match="unknown catalog group 'C'"):
+        serde.json_to_group({"name": "C", "params": [6]})
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

@@ -11,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from grax import algebra, fitting
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, cleared_rows, nrd)
+                          adjoint_star, char_value, cleared_rows, nrd)
 from grax.cyclotomic import CycloNum
-from grax.fitting import (Budget, _conjugacy_rep, _monomial_matrix, _normalised_monomials,
-                          annihilation_check, char_value,
-                          delta_check, fit_classical_oracle, fit_matrix, fit_transpose,
-                          hash_lattice, lattice_from_central, leibniz_det, regular_int_rows,
-                          xi_approx)
+from grax.fitting import (Budget, _conjugacy_rep, _monomial_matrix, _monomial_walk,
+                          _normalised_monomials, annihilation_check, delta_check,
+                          fit_classical_oracle, fit_matrix, fit_transpose, hash_lattice,
+                          lattice_from_central, leibniz_det, regular_int_rows, xi_approx)
 from grax.groups import group_from_catalog
 from grax.lattices import hnf, smith_normal_form
 from grax.reps import irreps
@@ -104,6 +103,38 @@ def test_normalised_monomials_meet_every_orbit(name, count):
                 scale(b, R[1][0], c), scale(b, R[1][1], d))
                for R in reps for a, b, c, d in itertools.product(range(G.order), repeat=4)}
     assert covered == set(itertools.product([None, *range(G.order)], repeat=4))
+
+
+def _conjugate(G, grid, k):
+    """The grid k R k^-1, as a tuple of rows."""
+    return tuple(tuple(None if g is None else G.mul(G.mul(k, g), G.inv(k)) for g in row)
+                 for row in grid)
+
+
+@pytest.mark.parametrize("name, size, candidates",
+                         [("S3", 2, 20000), ("D4", 2, 20000), ("Q8", 2, 20000), ("S3", 3, 300)])
+def test_monomial_walk_meets_each_conjugacy_orbit_first(name, size, candidates):
+    # against a brute-force reference that conjugates by every k and never
+    # calls _grid_rep: the walk yields the first grid of each conjugacy orbit
+    # of the budget's slice, and the provenance counts that slice as tried
+    G = group_from_catalog(name)
+    budget = Budget(max_matrix_size=size, max_candidates=candidates)
+    space = [tuple(map(tuple, grid)) for grid in _normalised_monomials(G, size)]
+    grids = space[:candidates]
+    walk = [tuple(map(tuple, grid)) for grid in _monomial_walk(G, size, budget)]
+    at = [grids.index(R) for R in walk]
+    assert at == sorted(at)
+    orbit = {R: {_conjugate(G, R, k) for k in range(G.order)} for R in walk}
+    for i, R in enumerate(walk):
+        assert not any(S in orbit[R] for S in walk[i + 1:])
+    for i, grid in enumerate(grids):
+        assert any(j <= i and grid in orbit[R] for j, R in zip(at, walk))
+    assert min(candidates, len(space)) == len(grids)
+    label = f"{size}x{size} monomial matrices"
+    if len(grids) < len(space):
+        label += f" (truncated: {len(grids)} of {len(space)} tried)"
+    assert xi_approx(G, Budget(max_matrix_size=size, max_candidates=candidates,
+                               rounds=0)).provenance[-1] == label
 
 
 def _closed(G, gens):
@@ -812,7 +843,7 @@ def test_classical_oracle_reads_no_cofactors_and_no_characters(monkeypatch):
         raise RuntimeError("checked path reached")
 
     monkeypatch.setattr(fitting, "_cofactor_dets", broken)
-    monkeypatch.setattr(fitting, "_char_values", broken)
+    monkeypatch.setattr(algebra, "_character_sums", broken)
     monkeypatch.setattr(algebra, "galois_defect", broken)
     monkeypatch.setattr(CentralElement, "_coords_int", broken)
     for M, a, want in cases:

@@ -19,10 +19,12 @@ model is integral, so each IrreducibleRep holds rho(g) as power-basis
 integer vectors at its conductor n (`images`).  A matrix's rows are
 cleared of denominators once (cleared_rows reads the stored integers), and
 its block at a character is one integer sum per entry (int_block);
-wedderburn_block is its CycloNum view.  nrd takes each block's
-determinant by fraction-free Bareiss elimination over Z[zeta_n]
-(cyclotomic.det_int), whose exact divisions multiply by the other Galois
-conjugates of the previous pivot and divide by its integer norm.
+wedderburn_block, its CycloNum view, is read only by wedderburn.  nrd
+takes each block's determinant, and the wedges of grax.exterior each
+maximal minor, by fraction-free Bareiss elimination over Z[zeta_n]
+(block_det, cyclotomic.det_int), whose exact divisions multiply by the
+other Galois conjugates of the previous pivot and divide by its integer
+norm.
 
 Generalized adjoints and inverses run on the same integers.  The
 Gauss-Jordan form of that elimination (cyclotomic.det_adj_int) takes a

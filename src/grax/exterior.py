@@ -6,12 +6,15 @@ Per character chi of degree c, an element of A^k splits into c row slices
 of length k*c: the slices of row u of a matrix M are rows u*c .. u*c+c-1 of
 its Wedderburn block, and the slices of a hom are the same rows of the block
 over the opposite algebra, each c x c sub-block transposed in place
-(wedge_homs).  Wedges live in the exterior algebra of E^(k*c)
-with the lexicographic basis indexed by ascending subsets.  The slice order
-is fixed once and for all: element index major, slice index minor.  With that
-order the full pairing of r hom-slices against r element-slices equals the
-reduced norm of the Gram matrix over the opposite algebra, which is the
-anchor identity every other convention here is checked against.
+(wedge_homs).  Both read the integer block of the cleared rows (int_block).
+Wedges live in the exterior algebra of E^(k*c) with the lexicographic basis
+indexed by ascending subsets: coordinate s of the wedge of r elements is the
+maximal minor of their block on the columns s, one Bareiss determinant
+(block_det, as in nrd).  The slice order is fixed once and for all:
+element index major, slice index minor.  With that order the full pairing
+of r hom-slices against r element-slices equals the reduced norm of the
+Gram matrix over the opposite algebra, which is the anchor identity every
+other convention here is checked against.
 """
 
 from __future__ import annotations
@@ -20,16 +23,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, cleared_rows,
-                          gam_inverse, int_block, wedderburn_block)
-from grax.cyclotomic import CycloNum, det_adj_int, rank_int
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, block_det,
+                          cleared_rows, gam_inverse, int_block)
+from grax.cyclotomic import CycloNum, cyclo_from_int, det_adj_int, rank_int
 from grax.fitting import CentralLattice, Verdict, regular_int_rows
 from grax.groups import FiniteGroup
 from grax.lattices import hnf
 from grax.reps import irreps
 
 ZERO = CycloNum.from_rational(0)
-ONE = CycloNum.from_rational(1)
 
 # hom tuples rubin_membership pairs against before it stops with passed-budget
 RUBIN_TUPLES = 2000
@@ -43,25 +45,6 @@ def _subsets(n: int, r: int):
 @functools.lru_cache(maxsize=None)
 def _subset_index(n: int, r: int):
     return {s: i for i, s in enumerate(_subsets(n, r))}
-
-
-def _wedge_append(coords, degree: int, n: int, vec):
-    """coords of (x wedge v) from coords of x (degree -> degree + 1)."""
-    out = [ZERO] * len(_subsets(n, degree + 1))
-    idx_small = _subset_index(n, degree)
-    sign0 = 1 if degree % 2 == 0 else -1
-    for i, s in enumerate(_subsets(n, degree + 1)):
-        acc = ZERO
-        sign = sign0
-        for pos, p in enumerate(s):
-            v = vec[p]
-            if not v.is_zero():
-                rest = coords[idx_small[s[:pos] + s[pos + 1:]]]
-                if not rest.is_zero():
-                    acc = acc + (v * rest if sign > 0 else -(v * rest))
-            sign = -sign
-        out[i] = acc
-    return out
 
 
 def _contract(coords, degree: int, n: int, f):
@@ -146,18 +129,19 @@ class HomWedge:
 
 
 def wedge_elements(M: GroupAlgebraMatrix) -> ExteriorElement:
-    """Wedge of the rows of M (r elements of A^k, r <= k), in the fixed order."""
+    """Wedge of the rows of M (r elements of A^k, r <= k), in the fixed order:
+    at each character, coordinate s is the maximal minor det(B[:, s]) of the
+    block B, taken on the cleared integer block (block_det)."""
     G = M.group
     r, k = M.rows, M.cols
     if r > k:
         raise ValueError("cannot wedge more elements than the ambient rank")
+    rows, dens = cleared_rows(M.entries)
     comps = []
-    for chi, rep in enumerate(irreps(G)):
-        n = k * rep.degree
-        coords = [ONE]
-        for deg, vec in enumerate(wedderburn_block(M, chi)):
-            coords = _wedge_append(coords, deg, n, vec)
-        comps.append(tuple(coords))
+    for rep in irreps(G):
+        blk = int_block(rows, rep)
+        comps.append(tuple(block_det(rep, [[row[j] for j in s] for row in blk], dens)
+                           for s in _subsets(k * rep.degree, r * rep.degree)))
     return ExteriorElement(G, k, r, tuple(comps))
 
 
@@ -169,12 +153,14 @@ def wedge_homs(M: GroupAlgebraMatrix) -> HomWedge:
     s, k = M.rows, M.cols
     if s > k:
         raise ValueError("cannot wedge more homs than the ambient rank")
+    rows, dens = cleared_rows(M.entries)
     factors = []
-    for chi, rep in enumerate(irreps(G)):
+    for rep in irreps(G):
         # the block over the opposite algebra
-        c, blk = rep.degree, wedderburn_block(M, chi)
-        factors.append(tuple(tuple(blk[U - U % c + V % c][V - V % c + U % c]
-                                   for V in range(k * c)) for U in range(s * c)))
+        c, n, blk = rep.degree, rep.conductor, int_block(rows, rep)
+        factors.append(tuple(
+            tuple(cyclo_from_int(n, blk[U - U % c + V % c][V - V % c + U % c], dens[U // c])
+                  for V in range(k * c)) for U in range(s * c)))
     return HomWedge(G, k, s, tuple(factors))
 
 
@@ -203,35 +189,42 @@ def pair(hw: HomWedge, xe: ExteriorElement):
     return ExteriorElement(xe.group, xe.rank, xe.degree - hw.degree, tuple(comps))
 
 
+def _sub_rows(M: GroupAlgebraMatrix, indices) -> GroupAlgebraMatrix:
+    """Rows i of M for i in indices, keeping the width of M (0 x cols when
+    there are none)."""
+    return GroupAlgebraMatrix(M.group, len(indices), M.cols,
+                              tuple(M.entries[i] for i in indices))
+
+
 def standard_basis_matrix(G: FiniteGroup, k: int, indices) -> GroupAlgebraMatrix:
     """Rows b_i of A^k for i in indices (possibly none)."""
-    indices = list(indices)
-    if not indices:
-        return GroupAlgebraMatrix(G, 0, k, ())
-    rows = GroupAlgebraMatrix.identity(G, k).entries
-    return GroupAlgebraMatrix.from_entries(G, [rows[i] for i in indices])
+    return _sub_rows(GroupAlgebraMatrix.identity(G, k), tuple(indices))
 
 
-def theta_b(xe: ExteriorElement) -> dict[tuple[int, ...], CentralElement]:
+def theta_b(xe: ExteriorElement,
+            inverse: GroupAlgebraMatrix | None = None) -> dict[tuple[int, ...], CentralElement]:
     """Coordinates of xe along the dual-basis hom wedges, indexed by ascending
-    degree-subsets of the standard basis."""
+    degree-subsets of a free basis of A^d.  inverse is the inverse of the
+    basis matrix (rows b_i), so that its columns are the dual homs b_i^*;
+    the default is the standard basis, its own inverse."""
     d, r = xe.rank, xe.degree
-    out = {}
-    for sigma in itertools.combinations(range(d), r):
-        hw = wedge_homs(standard_basis_matrix(xe.group, d, sigma))
-        out[sigma] = pair(hw, xe)
-    return out
+    duals = (GroupAlgebraMatrix.identity(xe.group, d) if inverse is None else inverse).transpose()
+    return {sigma: pair(wedge_homs(_sub_rows(duals, sigma)), xe)
+            for sigma in itertools.combinations(range(d), r)}
 
 
 def theta_b_section(G: FiniteGroup, d: int, r: int,
-                    coeffs: dict[tuple[int, ...], CentralElement]) -> ExteriorElement:
-    """The splitting: sum of c_sigma times the wedge of the sigma basis rows."""
+                    coeffs: dict[tuple[int, ...], CentralElement],
+                    basis: GroupAlgebraMatrix | None = None) -> ExteriorElement:
+    """The splitting: sum of c_sigma times the wedge of the sigma rows of the
+    free basis (default the standard basis of A^d)."""
+    basis = GroupAlgebraMatrix.identity(G, d) if basis is None else basis
     total = None
     for sigma in itertools.combinations(range(d), r):
         c = coeffs.get(tuple(sigma))
         if c is None:
             continue
-        term = wedge_elements(standard_basis_matrix(G, d, sigma)).scale(c)
+        term = wedge_elements(_sub_rows(basis, sigma)).scale(c)
         total = term if total is None else total + term
     if total is None:
         raise ValueError("empty coefficient map")
@@ -307,8 +300,9 @@ def epsilon_vanishing(M: GroupAlgebraMatrix, eps: ExteriorElement | None = None)
 
 # -- Rubin lattice membership -------------------------------------------------
 
-def _dual_homs(G: FiniteGroup, lattice) -> list[GroupAlgebraMatrix]:
-    """Z-module generators of Hom(M, Z[G]) as homs on A^k, via the dual basis.
+def _dual_homs(G: FiniteGroup, lattice) -> GroupAlgebraMatrix:
+    """Z-module generators of Hom(M, Z[G]) as homs on A^k, via the dual basis,
+    one per row.
 
     rubin_membership passes a lattice of full rank, so its HNF basis B is
     invertible, and B^-1 = adj(B) / det(B) comes from one integer
@@ -316,14 +310,11 @@ def _dual_homs(G: FiniteGroup, lattice) -> list[GroupAlgebraMatrix]:
     n = G.order
     k = lattice.ambient_rank // n
     (det,), adj = det_adj_int([[[v] for v in row] for row in lattice.basis], 1)
-    homs = []
-    for i in range(lattice.ambient_rank):
-        # f_i = column i of the inverse, as a functional on Z^(k|G|)
-        row = [GroupAlgebraElement._reduced(
-                   G, [adj[t * n + G.inv(h)][i][0] for h in range(n)], det)
-               for t in range(k)]
-        homs.append(GroupAlgebraMatrix.from_entries(G, [row]))
-    return homs
+    # row i is f_i = column i of the inverse, as a functional on Z^(k|G|)
+    return GroupAlgebraMatrix.from_entries(G, [
+        [GroupAlgebraElement._reduced(G, [adj[t * n + G.inv(h)][i][0] for h in range(n)], det)
+         for t in range(k)]
+        for i in range(lattice.ambient_rank)])
 
 
 def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
@@ -349,17 +340,8 @@ def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
     if gens.rows == k:
         W_inv = gam_inverse(gens)
         if W_inv is not None:
-            coords = {}
-            for sigma in itertools.combinations(range(k), r):
-                duals = GroupAlgebraMatrix.from_entries(
-                    G, [[W_inv.entries[t][i] for t in range(k)] for i in sigma])
-                coords[sigma] = pair(wedge_homs(duals), xe)
-            recon = None
-            for sigma, c in coords.items():
-                term = wedge_elements(GroupAlgebraMatrix.from_entries(
-                    G, [list(gens.entries[i]) for i in sigma])).scale(c)
-                recon = term if recon is None else recon + term
-            matches = recon == xe if recon is not None else xe.is_zero()
+            coords = theta_b(xe, W_inv)
+            matches = theta_b_section(G, k, r, coords, gens) == xe if coords else xe.is_zero()
             inside = all(xi.contains(c) for c in coords.values())
             if matches and inside:
                 return Verdict("exact-yes")
@@ -372,13 +354,11 @@ def rubin_membership(xe: ExteriorElement, gens: GroupAlgebraMatrix,
     duals = _dual_homs(G, lattice)
     checked = 0
     full = True
-    for combo in itertools.combinations(range(len(duals)), r):
+    for combo in itertools.combinations(range(duals.rows), r):
         if checked >= RUBIN_TUPLES:
             full = False
             break
-        hom_rows = [duals[i].entries[0] for i in combo]
-        hw = wedge_homs(GroupAlgebraMatrix.from_entries(G, [list(rw) for rw in hom_rows]))
-        value = pair(hw, xe)
+        value = pair(wedge_homs(_sub_rows(duals, combo)), xe)
         if not xi.contains(value):
             return Verdict("certified-no", ("dual generators", combo))
         checked += 1

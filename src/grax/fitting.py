@@ -745,10 +745,13 @@ def fit_transpose(M: GroupAlgebraMatrix, a: int,
 
 
 def hash_lattice(L: CentralLattice) -> CentralLattice:
-    """Image of a central lattice under the # involution."""
-    return lattice_from_central(L.group,
-                                [x.hash_involution() for x in L.elements()],
-                                L.provenance + ("#",), L.stable, L.exact)
+    """Image of a central lattice under the # involution, which takes the
+    sum of each class to the sum of the class of its inverses: a permutation
+    of class coordinates."""
+    G = L.group
+    inv = [G.class_of[G.inv(cls[0])] for cls in G.conjugacy_classes]
+    return _lattice_from_int_rows(G, [[row[j] for j in inv] for row in L.lattice.basis],
+                                  L.denominator, L.provenance + ("#",), L.stable, L.exact)
 
 
 # -- annihilation ------------------------------------------------------------

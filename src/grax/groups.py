@@ -197,19 +197,14 @@ def _quaternion_table():
 _NAME_RE = re.compile(r"^(C|D)(\d+)$|^C(\d+)xC(\d+)$", re.IGNORECASE)
 
 
-@functools.lru_cache(maxsize=None)
 def group_from_catalog(name: str) -> FiniteGroup:
-    """Build a catalog group by name ('C6', 'C2xC3', 'D4', 'S3', 'S4', 'A4', 'Q8')."""
+    """Build a catalog group by name ('C6', 'C2xC3', 'D4', 'S3', 'S4', 'A4', 'Q8'),
+    cached on its canonical name, so that every spelling (case, spaces,
+    leading zeros) gives one object."""
     key = name.strip()
     upper = key.upper()
-    if upper == "S3":
-        return _finish("S3", "S", (3,), _perm_table(_perm_elements(3)))
-    if upper == "S4":
-        return _finish("S4", "S", (4,), _perm_table(_perm_elements(4)))
-    if upper == "A4":
-        return _finish("A4", "A", (4,), _perm_table(_perm_elements(4, even_only=True)))
-    if upper == "Q8":
-        return _finish("Q8", "Q", (8,), _quaternion_table())
+    if upper in ("S3", "S4", "A4", "Q8"):
+        return _catalog_group(upper, upper[0], (int(upper[1]),))
     m = _NAME_RE.match(key)
     if m is None:
         raise ValueError(f"unknown catalog group {name!r}")
@@ -217,16 +212,26 @@ def group_from_catalog(name: str) -> FiniteGroup:
         n1, n2 = int(m.group(3)), int(m.group(4))
         if n1 < 1 or n2 < 1 or n1 * n2 > MAX_ORDER:
             raise ValueError(f"cyclic factors must be positive, of product at most {MAX_ORDER}")
-        return _finish(f"C{n1}xC{n2}", "CxC", (n1, n2),
-                       _product_table(_cyclic_table(n1), _cyclic_table(n2)))
+        return _catalog_group(f"C{n1}xC{n2}", "CxC", (n1, n2))
     letter, n = m.group(1).upper(), int(m.group(2))
     if letter == "C":
         if not 1 <= n <= MAX_ORDER:
             raise ValueError(f"cyclic order must be in 1..{MAX_ORDER}")
-        return _finish(f"C{n}", "C", (n,), _cyclic_table(n))
-    if not 3 <= n <= MAX_ORDER // 2:
+    elif not 3 <= n <= MAX_ORDER // 2:
         raise ValueError(f"dihedral catalog needs 3 <= n <= {MAX_ORDER // 2}")
-    return _finish(f"D{n}", "D", (n,), _dihedral_table(n))
+    return _catalog_group(f"{letter}{n}", letter, (n,))
+
+
+_TABLES = {"S": lambda n: _perm_table(_perm_elements(n)),
+           "A": lambda n: _perm_table(_perm_elements(n, even_only=True)),
+           "Q": lambda n: _quaternion_table(),
+           "C": _cyclic_table, "D": _dihedral_table,
+           "CxC": lambda n1, n2: _product_table(_cyclic_table(n1), _cyclic_table(n2))}
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_group(name: str, family: str, params: tuple[int, ...]) -> FiniteGroup:
+    return _finish(name, family, params, _TABLES[family](*params))
 
 
 def perm_elements_of(G: FiniteGroup):

@@ -10,14 +10,16 @@ acceptance gate runs.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix,
-                          adjoint_star, char_value, gam_inverse, hash_involution, nrd, nrd_op,
-                          wedderburn_block)
+                          adjoint_star, char_value, cleared_rows, gam_inverse, hash_involution,
+                          int_block, nrd, nrd_op)
 from grax.cyclo import AbelianFieldSpec, cyclotomic_unit, euler_family_check
 from grax.cyclotomic import CycloNum
 from grax.detfun import (det_free, inverse_object, ses_iso, ses_retraction,
@@ -164,9 +166,9 @@ def suite_adjoint(seed=0, cases=200, budget=None) -> SuiteResult:
         left, right = M * star, star * M
         if left != scaled or right != scaled:
             _fail(res, i, "M M* = M* M = nrd(M) I", group=G.name, M=gam_to_json(M))
-        for chi in range(len(irreps(G))):
-            star_blk = wedderburn_block(star, chi)
-            star_zero = all(v.is_zero() for row in star_blk for v in row)
+        star_rows = cleared_rows(star.entries)[0]
+        for chi, rep in enumerate(irreps(G)):
+            star_zero = not any(any(v) for row in int_block(star_rows, rep) for v in row)
             if star_zero != nv.values[chi].is_zero():
                 _fail(res, i, "component vanishing biconditional",
                       group=G.name, M=gam_to_json(M), chi=chi)
@@ -369,7 +371,6 @@ def suite_cyclo(seed=0, fmax=30, ellmax=13, budget=None) -> SuiteResult:
         res.notes.append(
             f"direct-Frobenius convention fails at (f={guard[0].conductor}, "
             f"l={guard[0].prime}) as required")
-    import math
     for ell in (3, 5, 7, 11, 13):
         full = tuple(range(1, ell))
         val = cyclotomic_unit(AbelianFieldSpec(ell, full))
@@ -433,17 +434,11 @@ SUITES = {
 
 
 def run_suite(name: str, seed=0, budget=None, scale: float = 1.0):
-    """Run one suite (or 'all'); scale shrinks the default case counts for quick runs."""
-    if name == "all":
-        return [run_suite(n, seed, budget, scale) for n in SUITES]
-    if name not in SUITES:
-        raise KeyError(name)
+    """Run one suite; scale shrinks the default case counts for quick runs."""
     fn = SUITES[name]
     kwargs = {"seed": seed, "budget": budget}
-    if scale != 1.0 and name not in ("cyclo", "xi-sanity"):
-        import inspect
-        sig = inspect.signature(fn)
-        for pname, param in sig.parameters.items():
+    if scale != 1.0:
+        for pname, param in inspect.signature(fn).parameters.items():
             if pname in ("cases", "transpose_cases"):
                 kwargs[pname] = max(1, int(param.default * scale))
     return fn(**kwargs)

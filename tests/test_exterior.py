@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grax.algebra import CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, nrd, nrd_op
+from grax.algebra import (CentralElement, GroupAlgebraElement, GroupAlgebraMatrix, gam_inverse,
+                          nrd, nrd_op, wedderburn_block)
 from grax.cyclotomic import CycloNum
 from grax.exterior import (ExteriorElement, HomWedge, epsilon_from_matrix, epsilon_vanishing, pair,
                            rubin_membership, standard_basis_matrix, theta_b,
@@ -14,6 +16,7 @@ from grax.exterior import (ExteriorElement, HomWedge, epsilon_from_matrix, epsil
                            wedge_homs, _subsets)
 from grax.fitting import Budget, fit_matrix, lattice_from_central, xi_approx
 from grax.groups import group_from_catalog
+from grax.linalg import mat_det
 from grax.reps import irreps
 
 
@@ -164,6 +167,67 @@ def test_theta_roundtrip_and_dimension_witness():
     assert not theta_b_bijective(G, 2, 1)
     assert theta_b_bijective(G, 2, 2)
     assert theta_b_bijective(group_from_catalog("C6"), 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["A4", "C12", "Q8", "S3"]), k=st.integers(1, 3),
+       data=st.data())
+def test_wedge_coordinates_are_block_minors(name, k, data):
+    # the field oracle: coordinate s of the wedge of the rows of M at chi is
+    # the maximal minor of the CycloNum block on the columns s
+    G = group_from_catalog(name)
+    r = data.draw(st.integers(0, k))
+    entry = st.builds(lambda num, den: Fraction(num, den), st.integers(-2, 2), st.integers(1, 3))
+    grid = data.draw(st.lists(st.lists(st.lists(entry, min_size=G.order, max_size=G.order),
+                                       min_size=k, max_size=k), min_size=r, max_size=r))
+    M = GroupAlgebraMatrix(G, r, k, tuple(tuple(GroupAlgebraElement.from_coeffs(G, c)
+                                                for c in row) for row in grid))
+    xe = wedge_elements(M)
+    for chi, rep in enumerate(irreps(G)):
+        blk = wedderburn_block(M, chi)
+        subsets = _subsets(k * rep.degree, r * rep.degree)
+        assert xe.comps[chi] == tuple(mat_det([[row[j] for j in s] for row in blk])
+                                      for s in subsets)
+
+
+def _invertible(rng, G, k):
+    while True:
+        B = rand_gam(rng, G, k, k, 1)
+        inverse = gam_inverse(B)
+        if inverse is not None:
+            return B, inverse
+
+
+@pytest.mark.parametrize("name", ["C4", "S3", "Q8"])
+def test_theta_roundtrip_at_every_degree_in_a_free_basis(name):
+    G = group_from_catalog(name)
+    els = xi_approx(G, Budget(max_matrix_size=1)).elements()
+    rng = random.Random(11)
+    k = 2
+    bases = [(None, None), _invertible(rng, G, k)]
+    for basis, inverse in bases:
+        for r in range(k + 1):
+            coeffs = {s: els[rng.randrange(len(els))]
+                      for s in itertools.combinations(range(k), r)}
+            x = theta_b_section(G, k, r, coeffs, basis)
+            assert x.degree == r and theta_b(x, inverse) == coeffs
+
+
+def test_rubin_degree_zero_is_the_order():
+    # the degree-0 wedge is 1, and 1 lies in every order: both paths pair it
+    # against the empty hom wedge, a 0 x k matrix
+    for name in ("C4", "S3"):
+        G = group_from_catalog(name)
+        xi = xi_approx(G, Budget(max_matrix_size=1))
+        one = wedge_elements(standard_basis_matrix(G, 2, []))
+        assert rubin_membership(one, standard_basis_matrix(G, 2, range(2)), xi).kind == "exact-yes"
+    G = group_from_catalog("C4")
+    gens = GroupAlgebraMatrix.from_entries(G, [
+        [GroupAlgebraElement.from_coeffs(G, c) for c in row]
+        for row in ([[2, 0, 0, 0], [0] * 4], [[0] * 4, [2, 0, 0, 0]],
+                    [[1, 1, 0, 0], [1, 0, 0, 0]])])
+    one = wedge_elements(standard_basis_matrix(G, 2, []))
+    assert rubin_membership(one, gens, xi_approx(G)).kind == "exact-yes"
 
 
 def test_epsilon_trivial_group():

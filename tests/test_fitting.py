@@ -619,6 +619,23 @@ def test_fit_transpose_abelian_a1():
         assert fit_transpose(M, 1) == hash_lattice(fit_matrix(M, 1))
 
 
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "D5", "C12", "S4"])
+def test_hash_lattice_permutes_class_coordinates(name):
+    # the reference: # on each central generator's character values, spanned
+    # again from class coordinates
+    rng = random.Random(8)
+    G = group_from_catalog(name)
+    xi = xi_approx(G, SMALL)
+    lattices = [xi] + [fit_matrix(rand_gam(rng, G, rows, 2, 1), a, SMALL, xi)
+                       for rows, a in ((2, 0), (3, 1))]
+    for L in lattices:
+        ref = lattice_from_central(G, [x.hash_involution() for x in L.elements()],
+                                   L.provenance + ("#",), L.stable, L.exact)
+        got = hash_lattice(L)
+        assert got == ref and (got.provenance, got.stable, got.exact) == \
+            (ref.provenance, ref.stable, ref.exact)
+
+
 def test_fit_transpose_symmetric_fixed():
     rng = random.Random(6)
     G = group_from_catalog("S3")

@@ -7,8 +7,8 @@ import pytest
 from grax import reps as reps_module
 from grax.algebra import GroupAlgebraElement
 from grax.cyclotomic import CycloNum
-from grax.groups import (_cyclic_table, _finish, _product_table, group_from_catalog,
-                         perm_elements_of, perm_sign)
+from grax.groups import (_cyclic_table, _finish, _perm_elements, _perm_table, _product_table,
+                         group_from_catalog, perm_elements_of, perm_sign)
 from grax.reps import (central_idempotent, contragredient, contragredient_permutation,
                        galois_permutation, irreps)
 
@@ -37,7 +37,7 @@ def test_q8_basic():
 
 
 def test_groups_hash_on_their_label_and_compare_on_their_table():
-    a, b = (group_from_catalog.__wrapped__("S4") for _ in range(2))
+    a, b = (_finish("S4", "S", (4,), _perm_table(_perm_elements(4))) for _ in range(2))
     assert a is not b and a == b and hash(a) == hash(b)
     # C4's label on the table of C2xC2
     fake = _finish("C4", "C", (4,), _product_table(_cyclic_table(2), _cyclic_table(2)))
@@ -58,6 +58,23 @@ def test_unknown_group_rejected():
         group_from_catalog("E8")
     with pytest.raises(ValueError):
         group_from_catalog("D2")
+
+
+@pytest.mark.parametrize("spelling,name", [("s3", "S3"), (" S3", "S3"), ("C06", "C6"),
+                                           ("c2xc3", "C2xC3")])
+def test_every_spelling_reads_one_group(spelling, name):
+    G = group_from_catalog(spelling)
+    assert G is group_from_catalog(name) and G.name == name
+    # one object, so elements built from either spelling add
+    one = GroupAlgebraElement.one(G) + GroupAlgebraElement.one(group_from_catalog(name))
+    assert one == GroupAlgebraElement.basis(G, 0, 2)
+
+
+def test_unknown_group_keeps_its_spelling_in_the_message():
+    with pytest.raises(ValueError, match="unknown catalog group 'C'"):
+        group_from_catalog("C")
+    with pytest.raises(ValueError, match="unknown catalog group ' e8 '"):
+        group_from_catalog(" e8 ")
 
 
 def test_c2_characters():

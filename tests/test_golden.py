@@ -40,6 +40,10 @@ CASES = {
     # and the oracle's Leibniz minors read as class coordinates
     "fit_c8_oracle": ["fit", "--group", "C8", "--matrix", _in("c8_3x3.json"), "--a", "1",
                       "--oracle-check"],
+    # a proper sublattice of index 16 over the non-cyclic C2xC4, whose
+    # translates are not the powers of one generator
+    "fit_c2xc4_oracle": ["fit", "--group", "C2xC4", "--matrix", _in("c2xc4_3x3.json"),
+                         "--a", "1", "--oracle-check"],
     "fit_q8_3x2": ["fit", "--group", "Q8", "--matrix", _in("q8_3x2.json"), "--a", "1"],
     "fit_s3": ["fit", "--group", "S3", "--matrix", _in("s3_2x2.json"), "--a", "1",
                "--budget", '{"max_matrix_size": 2, "max_candidates": 2000}'],

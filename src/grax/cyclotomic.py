@@ -427,11 +427,13 @@ def galois_apply(a: int, x: CycloNum) -> CycloNum:
     return x.galois(a)
 
 
-def _bareiss(rows, n: int, width: int, jordan: bool):
+def _bareiss(rows, n: int, width: int, jordan: bool, det: bool):
     """Fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968) of a
     size x width matrix over Z[zeta_n] of power-basis integer vectors (plain
     ints where phi(n) = 1), column by column (with jordan only the leading
-    size columns), skipping a column with no pivot left.  The step with
+    size columns), skipping a column with no pivot left; with det, which
+    wants only the determinant of the leading size x size block, it stops
+    there instead, as that block is singular.  The step with
     pivot b = a_kc replaces each entry a_ij right of column c, in every row
     below the pivot (every row but the pivot's with jordan), by
     (b a_ij - a_ic a_kj) / b', with b' the previous pivot.  Each quotient is
@@ -441,7 +443,7 @@ def _bareiss(rows, n: int, width: int, jordan: bool):
     AssertionError.
 
     Returns (rows, sign, rank): the sign of the row swaps and the pivot
-    count.  Where the leading size x size block B is regular, the last pivot
+    count, below size where det stopped early.  Where the leading size x size block B is regular, the last pivot
     p is sign det(B), and jordan takes [B | C] to [p I | p B^-1 C].  Entries
     left of each pivot column are not written and not read.
     """
@@ -451,6 +453,8 @@ def _bareiss(rows, n: int, width: int, jordan: bool):
     for c in range(size if jordan else width):
         p = next((i for i in range(k, size) if (a[i][c] if scalar else any(a[i][c]))), None)
         if p is None:
+            if det:
+                break
             continue
         if p != k:
             a[k], a[p] = a[p], a[k]
@@ -485,7 +489,7 @@ def _bareiss(rows, n: int, width: int, jordan: bool):
 def rank_int(rows, n: int) -> int:
     """Rank of a matrix over Z[zeta_n] of power-basis integer vectors: the
     pivot count of _bareiss."""
-    return _bareiss(rows, n, len(rows[0]) if rows else 0, False)[2]
+    return _bareiss(rows, n, len(rows[0]) if rows else 0, False, False)[2]
 
 
 def det_int(rows, n: int) -> list[int]:
@@ -493,7 +497,7 @@ def det_int(rows, n: int) -> list[int]:
     power-basis integer vectors (euler_phi(n) ints each), as such a vector:
     sign times the last pivot of _bareiss, and zero below full rank."""
     d = euler_phi(n)
-    a, sign, rank = _bareiss(rows, n, len(rows), False)
+    a, sign, rank = _bareiss(rows, n, len(rows), False, True)
     if rank < len(rows):
         return [0] * d
     if not a:
@@ -509,7 +513,7 @@ def det_adj_int(rows, n: int):
     d, size = euler_phi(n), len(rows)
     one, zero = [1] + [0] * (d - 1), [0] * d
     a, sign, rank = _bareiss([list(r) + [one if i == j else zero for j in range(size)]
-                              for i, r in enumerate(rows)], n, 2 * size, True)
+                              for i, r in enumerate(rows)], n, 2 * size, True, True)
     if rank < size:
         return zero, None
     if not size:

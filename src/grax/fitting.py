@@ -518,7 +518,11 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     eps = s is in Z): zero and repeated generators do not change the
     span.  Over an abelian group the minors are taken in the group ring
     itself, by cofactor expansion with the sub-minors shared for the call
-    (_cofactor_dets), and the order is the image of Z[G].
+    (_cofactor_dets), and the order is the image of Z[G]: their Z-span is
+    taken first, and only the |G| translates of its HNF basis are spanned
+    again.  That is the ideal the minors generate: a Z-basis of the span
+    and the minors are Z-combinations of each other, so their translates
+    span one lattice, the Z[G]-span of the minors.
 
     Exact for a = 0 with square M and for integral M over an abelian
     group, where it is the classical Fitting ideal (fit_classical_oracle);
@@ -542,26 +546,28 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     # the minors of [M | pool] (each of d_ basis columns and the combinations)
     count = math.comb(d_, d) * sum(math.comb(d, t) * (d_ + len(combos)) ** t
                                    for t in range(min(a, d) + 1))
-    # each distinct reduced minor once, with the distinct signs it carries
-    signs = {}
-    for rsub, cols, s in _minor_selections(d_, d, len(combos), a):
-        signs.setdefault((rsub, cols), set()).add(s)
+    selections = _minor_selections(d_, d, len(combos), a)
     exact = (abelian and M.is_integral()) or (a == 0 and d_ == d)
     cleared, dens = cleared_rows(wide)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
         # generators (group elements) permutes them; a sign is dropped, as
-        # the Z-span of v holds -v
-        dets = _cofactor_dets(G, cleared, dens, signs)
+        # the Z-span of v holds -v, so each distinct minor is taken once
+        minors = dict.fromkeys((rsub, cols) for rsub, cols, _ in selections)
+        dets = _cofactor_dets(G, cleared, dens, minors)
         denom = math.lcm(1, *(den for _, den in dets))
+        # the Z[G]-span of the minors is the Z-span of the translates of a
+        # Z-basis of their Z-span: span the minors, then translate the basis
+        span = hnf([[c * (denom // den) for c in vec] for vec, den in dets], G.order)
         translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
-        rows = []
-        for vec, den in dets:
-            vec = [c * (denom // den) for c in vec]
-            rows += ([vec[k] for k in t] for t in translates)
+        rows = [[vec[k] for k in t] for vec in span.basis for t in translates]
         prov = (f"Fit^{a} of {d_}x{d}: {count} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
+    # each distinct reduced minor once, with the distinct signs it carries
+    signs = {}
+    for rsub, cols, s in selections:
+        signs.setdefault((rsub, cols), set()).add(s)
     # each character's block of [M | combinations] once; a minor's block
     # selects its rows and columns, deg block rows and columns each
     reps = irreps(G)

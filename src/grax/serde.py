@@ -107,6 +107,9 @@ def json_to_gam(obj, G: FiniteGroup | None = None) -> GroupAlgebraMatrix:
         raise ValueError(f"matrix entries are a list of rows, not {rows!r}")
     grid = [[json_to_gae(G, e) for e in row] for row in rows]
     M = GroupAlgebraMatrix.from_entries(G, grid)
+    if not grid and type(obj.get("cols")) is int and obj["cols"] >= 0:
+        # no row carries the width of a 0 x k matrix: it is the declared one
+        M = GroupAlgebraMatrix(G, 0, obj["cols"], ())
     if (obj.get("rows", M.rows), obj.get("cols", M.cols)) != (M.rows, M.cols):
         raise ValueError(f"matrix declares {obj.get('rows')}x{obj.get('cols')} "
                          f"but its entries are {M.rows}x{M.cols}")

@@ -347,6 +347,35 @@ def test_malformed_matrix_is_usage_error(capsys, matrix, message):
     assert "usage error" in err and message in err
 
 
+_C2_ELEMENT = json.dumps({"entries": [[{"0": "1"}, {}]]})
+
+
+def test_declared_zero_row_homs_pair_as_the_identity(capsys):
+    # no row carries the width of a 0 x 2 matrix, so only the declared
+    # shape does; the degree-0 hom wedge contracts nothing
+    code, out, err = run_cli(capsys, "pair", "--group", "C2", "--homs",
+                             json.dumps({"entries": [], "rows": 0, "cols": 2}),
+                             "--elements", _C2_ELEMENT, "--no-timestamp")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert (result["degree"], result["rank"]) == (1, 2)
+    assert [c["coords"] for c in result["components"]] == [["1", "0"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("homs, message", [
+    ({"entries": [], "rows": 1, "cols": 2}, "declares 1x2 but its entries are 0x2"),
+    ({"entries": [], "rows": 0, "cols": -1}, "declares 0x-1"),
+    ({"entries": [], "rows": 0, "cols": True}, "declares 0xTrue"),
+    ({"entries": [[{"0": "1"}, {}]], "rows": 0, "cols": 2}, "declares 0x2"),
+], ids=["rows-disagree", "negative-cols", "boolean-cols", "entries-not-empty"])
+def test_declared_shape_the_entries_contradict_is_usage_error(capsys, homs, message):
+    code, out, err = run_cli(capsys, "pair", "--group", "C2", "--homs", json.dumps(homs),
+                             "--elements", _C2_ELEMENT)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and message in err
+
+
 def test_central_of_other_group_is_usage_error(capsys):
     # S3 and C3 both have three characters, so only the group check tells them apart
     code, out, err = run_cli(capsys, "annihilate", "--group", "C3",

@@ -602,6 +602,79 @@ def test_fit_matches_oracle_with_several_basis_columns(name):
             assert fit_matrix(M, a) == fit_classical_oracle(M, a)
 
 
+ABELIAN = [f"C{n}" for n in range(1, 9)] + ["C2xC2", "C2xC4", "C3xC3", "C2xC6"]
+NON_CYCLIC = ABELIAN[8:]
+
+
+def _translate_span(G, minors):
+    """(denominator, HNF rows) of the Z-span of g x for every minor x and
+    every group element g, over the least denominator."""
+    denom = math.lcm(1, *(x.den for x in minors))
+    rows = [[x.num[G.mul(G.inv(g), h)] * (denom // x.den) for h in range(G.order)]
+            for x in minors for g in range(G.order)]
+    basis = hnf(rows, G.order).basis
+    common = math.gcd(denom, *(v for row in basis for v in row))
+    return denom // common, tuple(tuple(v // common for v in row) for row in basis)
+
+
+def _every_minor(M, a, budget):
+    """Every cols x cols minor of [M | pool] with at most a columns of M
+    replaced, by the Leibniz expansion of the full minor: the pool is each
+    basis column b_i and each b_i + h b_j (i < j, 1 <= h <= coeff_height)
+    when coeff_height >= 2."""
+    G, rows, d = M.group, M.rows, M.cols
+    one, zero = GroupAlgebraElement.one(G), GroupAlgebraElement.zero(G)
+    pool = [[one if u == i else zero for u in range(rows)] for i in range(rows)]
+    if budget.coeff_height >= 2:
+        pool += [[one if u == i else one * h if u == j else zero for u in range(rows)]
+                 for i, j in itertools.combinations(range(rows), 2)
+                 for h in range(1, budget.coeff_height + 1)]
+    out = []
+    for t in range(min(a, d) + 1):
+        for replaced in itertools.combinations(range(d), t):
+            for picks in itertools.product(pool, repeat=t):
+                cols = {j: col for j, col in zip(replaced, picks)}
+                for rsub in itertools.combinations(range(rows), d):
+                    out.append(leibniz_det(G, [[cols[j][u] if j in cols else M.entries[u][j]
+                                                for j in range(d)] for u in rsub]))
+    return out
+
+
+@st.composite
+def _abelian_fit_cases(draw):
+    G = group_from_catalog(draw(st.sampled_from(ABELIAN)))
+    d = draw(st.integers(1, 3))
+    rows = draw(st.integers(d, 3))
+    height = draw(st.sampled_from((1, 2) if d < 3 else (1,)))
+    den = st.sampled_from((1, 2, 3)) if draw(st.booleans()) else st.just(1)
+    coeff = st.builds(Fraction, st.integers(-2, 2), den)
+    entry = st.dictionaries(st.integers(0, G.order - 1), coeff, max_size=2).map(
+        lambda cs: GroupAlgebraElement.from_coeffs(G, [cs.get(g, 0) for g in range(G.order)]))
+    grid = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=rows, max_size=rows))
+    return GroupAlgebraMatrix.from_entries(G, grid), draw(st.integers(0, d)), Budget(coeff_height=height)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_abelian_fit_cases())
+def test_abelian_fit_is_the_span_of_every_minor_translate(case):
+    # fit_matrix spans the minors and translates only a basis of their span;
+    # the Z[G]-span of the minors is the Z-span of all their translates
+    M, a, budget = case
+    L = fit_matrix(M, a, budget)
+    assert (L.denominator, L.lattice.basis) == _translate_span(M.group, _every_minor(M, a, budget))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(NON_CYCLIC).flatmap(
+    lambda name: st.tuples(st.just(name), st.integers(1, 3), st.integers(0, 3),
+                           st.integers(0, 3), st.randoms(use_true_random=False))))
+def test_fit_matches_oracle_over_non_cyclic_groups(case):
+    name, d, extra, a, rng = case
+    G = group_from_catalog(name)
+    M = rand_gam(rng, G, min(d + extra, 3), d, 2)
+    assert fit_matrix(M, min(a, d)) == fit_classical_oracle(M, min(a, d))
+
+
 def test_fit_transpose_a0_d4():
     rng = random.Random(4)
     G = group_from_catalog("D4")

@@ -433,9 +433,9 @@ def _bareiss(rows, n: int, width: int, jordan: bool, det: bool):
     ints where phi(n) = 1), column by column (with jordan only the leading
     size columns), skipping a column with no pivot left; with det, which
     wants only the determinant of the leading size x size block, it stops
-    there instead, as that block is singular.  The step with
-    pivot b = a_kc replaces each entry a_ij right of column c, in every row
-    below the pivot (every row but the pivot's with jordan), by
+    at such a column of that block instead, as the block is singular.  The
+    step with pivot b = a_kc replaces each entry a_ij right of column c, in
+    every row below the pivot (every row but the pivot's with jordan), by
     (b a_ij - a_ic a_kj) / b', with b' the previous pivot.  Each quotient is
     a minor over the pivot columns, so it lies in Z[zeta_n], whose power
     basis is an integral basis; it is the product with the conjugates of b'
@@ -443,8 +443,9 @@ def _bareiss(rows, n: int, width: int, jordan: bool, det: bool):
     AssertionError.
 
     Returns (rows, sign, rank): the sign of the row swaps and the pivot
-    count, below size where det stopped early.  Where the leading size x size block B is regular, the last pivot
-    p is sign det(B), and jordan takes [B | C] to [p I | p B^-1 C].  Entries
+    count (the count so far, below size, where det stopped early).  Where
+    the leading size x size block B is regular, the last pivot p is
+    sign det(B), and jordan takes [B | C] to [p I | p B^-1 C].  Entries
     left of each pivot column are not written and not read.
     """
     scalar = euler_phi(n) == 1

@@ -546,27 +546,30 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
     # the minors of [M | pool] (each of d_ basis columns and the combinations)
     count = math.comb(d_, d) * sum(math.comb(d, t) * (d_ + len(combos)) ** t
                                    for t in range(min(a, d) + 1))
-    selections = _minor_selections(d_, d, len(combos), a)
     exact = (abelian and M.is_integral()) or (a == 0 and d_ == d)
     cleared, dens = cleared_rows(wide)
     if abelian:
         # coefficient space: the class coordinates of a central group-ring
         # element are its coefficients, and multiplying by the order
-        # generators (group elements) permutes them; a sign is dropped, as
-        # the Z-span of v holds -v, so each distinct minor is taken once
-        minors = dict.fromkeys((rsub, cols) for rsub, cols, _ in selections)
-        dets = _cofactor_dets(G, cleared, dens, minors)
+        # generators (group elements) permutes them.  A sign is dropped, as
+        # the Z-span of v holds -v, so each distinct minor is taken once:
+        # its kept columns with any len(cols) rows, as the d_ - len(cols)
+        # rows left hold distinct rows for its d - len(cols) basis columns.
+        # The smaller minors go first: their pivots keep the HNF small.
+        kept = dict.fromkeys(cols for cols, _ in _minor_columns(d_, d, len(combos), a))
+        dets = _cofactor_dets(G, cleared, dens, [
+            (rsub, cols) for cols in sorted(kept, key=len)
+            for rsub in itertools.combinations(range(d_), len(cols))])
         denom = math.lcm(1, *(den for _, den in dets))
-        # the Z[G]-span of the minors is the Z-span of the translates of a
-        # Z-basis of their Z-span: span the minors, then translate the basis
         span = hnf([[c * (denom // den) for c in vec] for vec, den in dets], G.order)
-        translates = [[G.mul(G.inv(g), h) for h in range(G.order)] for g in range(G.order)]
-        rows = [[vec[k] for k in t] for vec in span.basis for t in translates]
+        # row g of the table is x -> g x, so the basis row v read through it
+        # is the translate g^-1 v
+        rows = [[vec[k] for k in t] for vec in span.basis for t in G.mul_table]
         prov = (f"Fit^{a} of {d_}x{d}: {count} minors x |G| translates",)
         return _lattice_from_int_rows(G, rows, denom, prov, stable=True, exact=exact)
     # each distinct reduced minor once, with the distinct signs it carries
     signs = {}
-    for rsub, cols, s in selections:
+    for rsub, cols, s in _minor_selections(d_, d, len(combos), a):
         signs.setdefault((rsub, cols), set()).add(s)
     # each character's block of [M | combinations] once; a minor's block
     # selects its rows and columns, deg block rows and columns each
@@ -593,18 +596,16 @@ def fit_matrix(M: GroupAlgebraMatrix, a: int,
                                   stable=xi.stable or xi.exact, exact=exact)
 
 
-def _minor_selections(nrows: int, d: int, ncomb: int, a: int):
-    """The nonzero minors of fit_matrix after Laplace expansion along their
-    basis columns, as (rows of M, columns of [M | combinations], s).
+def _minor_columns(nrows: int, d: int, ncomb: int, a: int):
+    """The columns of fit_matrix's minors after Laplace expansion along
+    their basis columns, as (columns of [M | combinations], basis).
 
-    A minor of [M | pool] takes d of the nrows rows, and column j of M or,
-    for at most a of the j, pool column p: the basis column b_p for p <
-    nrows, else combination column p - nrows (column d + p - nrows of
-    [M | combinations]).  Its basis columns are taken out from the left:
-    b_i at position q among the columns left, with i at position r among
-    the rows left, goes with row i and the sign (-1)^(r+q); with i not
-    among the rows left (never selected, or b_i used twice) the minor is
-    zero and skipped.  s is the product of the signs.
+    A minor of [M | pool] takes column j of M or, for at most a of the j,
+    pool column p: the basis column b_p for p < nrows, else combination
+    column p - nrows (column d + p - nrows of [M | combinations]).  basis
+    lists (j, p) for each basis column b_p, at position j, left to right;
+    the columns kept are the others, one for each row left once
+    _minor_selections takes out row p with each b_p.
     """
     for t in range(0, min(a, d) + 1):
         for col_subset in itertools.combinations(range(d), t):
@@ -617,18 +618,32 @@ def _minor_selections(nrows: int, d: int, ncomb: int, a: int):
                         cols[j] = None
                     else:
                         cols[j] = d + p - nrows
-                kept = tuple(v for v in cols if v is not None)
-                for row_subset in itertools.combinations(range(nrows), d):
-                    rows, s = list(row_subset), 1
-                    for k, (j, i) in enumerate(basis):
-                        if i not in rows:
-                            break
-                        r = rows.index(i)
-                        # k basis columns left of position j are gone already
-                        s *= (-1) ** (r + j - k)
-                        del rows[r]
-                    else:
-                        yield tuple(rows), kept, s
+                yield tuple(v for v in cols if v is not None), basis
+
+
+def _minor_selections(nrows: int, d: int, ncomb: int, a: int):
+    """The nonzero minors of fit_matrix after Laplace expansion along their
+    basis columns, as (rows of M, columns of [M | combinations], s).
+
+    A minor takes d of the nrows rows and its columns (_minor_columns).
+    Its basis columns are taken out from the left: b_i at position q among
+    the columns left, with i at position r among the rows left, goes with
+    row i and the sign (-1)^(r+q); with i not among the rows left (never
+    selected, or b_i used twice) the minor is zero and skipped.  s is the
+    product of the signs.
+    """
+    for kept, basis in _minor_columns(nrows, d, ncomb, a):
+        for row_subset in itertools.combinations(range(nrows), d):
+            rows, s = list(row_subset), 1
+            for k, (j, i) in enumerate(basis):
+                if i not in rows:
+                    break
+                r = rows.index(i)
+                # k basis columns left of position j are gone already
+                s *= (-1) ** (r + j - k)
+                del rows[r]
+            else:
+                yield tuple(rows), kept, s
 
 
 def _cofactor_dets(G: FiniteGroup, rows, dens, minors):
